@@ -3,10 +3,11 @@
 A presentation fixes a finite basis b_0..b_{d-1}, positive weights w_i, and
 sparse structure constants c_{ijk} with b_i b_j = sum_k c_{ijk} b_k.  The
 norm of sum a_i b_i is sum |a_i| w_i.  On construction we validate
-associativity on basis triples and certify submultiplicativity
-(sum_k |c_{ijk}| w_k <= w_i w_j for every pair); a presentation failing the
-certificate is accepted with a warning flag and norm inequalities are then
-not guaranteed.
+associativity on basis triples (exactly in rational mode: the constants'
+denominators are cleared once and the check runs in ints) and certify
+submultiplicativity (sum_k |c_{ijk}| w_k <= w_i w_j for every pair); a
+presentation failing the certificate is accepted with a warning flag and
+norm inequalities are then not guaranteed.
 """
 
 from fractions import Fraction
@@ -34,7 +35,7 @@ class BasisSpace:
             raise PresentationError("basis labels must be distinct")
         self.labels = labels
         self.mode = mode
-        self.tol = float(tol)
+        self.tol = scalars.check_tol(tol)
         self.name = name
         if weights is None:
             weights = [1] * len(labels)
@@ -92,6 +93,15 @@ class BasisSpace:
             return x == 0
         return abs(x) <= self.tol
 
+    def _vec_small(self, vec):
+        if self.mode == RATIONAL:
+            return not vec
+        return sum(abs(c) * self.weights[k] for k, c in vec.items()) <= self.tol
+
+    def _agree(self, lhs, rhs):
+        """Equal up to tol in the weighted norm; exact equality in rational mode."""
+        return lhs == rhs or self._vec_small(linalg.vec_sub(lhs, rhs))
+
 
 class AlgebraPresentation(BasisSpace):
     """Structure-constant presentation of a weighted-l1 algebra.
@@ -142,35 +152,45 @@ class AlgebraPresentation(BasisSpace):
             self._check_unit()
 
     def _check_associativity(self):
+        """(b_i b_j) b_k == b_i (b_j b_k) on every triple with a nonzero side.
+
+        A side is nonzero only if (i, j) or (j, k) is in the table: the first
+        pass takes the triples with (i, j) in it, the second those with
+        (j, k) in it and (i, j) not.  Each triple runs on the table with its
+        denominators cleared (scalars.clear_denominators), where both sides
+        carry the same factor D^2.
+        """
         mul = self.mul
         dim = self.dim
-        seen = set()
-        for (i, j) in mul:
-            for k in range(dim):
-                seen.add((i, j, k))
-                self._check_triple(i, j, k)
-        for (j, k) in mul:
-            for i in range(dim):
-                if (i, j, k) not in seen:
+        self._cleared, = scalars.clear_denominators(self.mode, mul)
+        try:
+            for (i, j) in mul:
+                for k in range(dim):
                     self._check_triple(i, j, k)
+            for (j, k) in mul:
+                for i in range(dim):
+                    if (i, j) not in mul:
+                        self._check_triple(i, j, k)
+        finally:
+            del self._cleared
 
     def _check_triple(self, i, j, k):
+        """One basis triple, on the cleared table _check_associativity holds."""
+        table = self._cleared
         lhs = {}
-        for m, c in self.product_indices(i, j).items():
-            linalg.vec_add_scaled(lhs, self.product_indices(m, k), c)
+        for m, c in table.get((i, j), _EMPTY).items():
+            row = table.get((m, k))
+            if row:
+                linalg.vec_add_scaled(lhs, row, c)
         rhs = {}
-        for m, c in self.product_indices(j, k).items():
-            linalg.vec_add_scaled(rhs, self.product_indices(i, m), c)
-        diff = linalg.vec_sub(lhs, rhs)
-        if not self._vec_small(diff):
+        for m, c in table.get((j, k), _EMPTY).items():
+            row = table.get((i, m))
+            if row:
+                linalg.vec_add_scaled(rhs, row, c)
+        if not self._agree(lhs, rhs):
             raise PresentationError(
                 f"associativity fails on basis triple "
                 f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})")
-
-    def _vec_small(self, diff):
-        if self.mode == RATIONAL:
-            return not diff
-        return sum(abs(x) * self.weights[i] for i, x in diff.items()) <= self.tol
 
     def _check_submultiplicativity(self):
         slack = 0 if self.mode == RATIONAL else self.tol

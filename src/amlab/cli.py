@@ -22,7 +22,7 @@ from .diagonals import (defect_report, defects, direct_sum_diagonal,
                         group_diagonal, ideal_diagonal, matrix_diagonal,
                         pushforward_diagonal, tail_mass,
                         truncated_matrix_diagonal)
-from .scalars import DEFAULT_FLOAT_TOL, FLOAT, RATIONAL, SchemaError
+from .scalars import DEFAULT_FLOAT_TOL, FLOAT, RATIONAL, SchemaError, check_tol
 from .witness import trace_feasibility, witness_from_diagonal
 
 MODE_ENV = "AMLAB_MODE"
@@ -327,6 +327,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_tol(args.tol)
         return args.func(args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ the central-trace remainder as two maps.
 
 from dataclasses import dataclass
 
-from . import linalg
+from . import linalg, scalars
 from .algebra import (AlgebraError, AlgebraPresentation, BasisSpace, Element,
                       PresentationError, multiply)
 from .diagonals import defects
@@ -108,37 +108,39 @@ class BimodulePresentation(BasisSpace):
                 linalg.vec_add_scaled(out, row, c)
         return out
 
-    def _vec_small(self, vec):
-        if self.mode == RATIONAL:
-            return not vec
-        return sum(abs(c) * self.weights[k] for k, c in vec.items()) <= self.tol
-
     def _check_module_laws(self):
+        """The three module laws on basis triples, on the algebra's and both
+        action tables with one common denominator cleared
+        (scalars.clear_denominators): every side then carries the factor D^2."""
         alg = self.algebra
+        mul, left, right = scalars.clear_denominators(self.mode, alg.mul, self.left,
+                                                      self.right)
+
+        def on_left(i, vec):
+            return linalg.vec_combination((c, left.get((i, j))) for j, c in vec.items())
+
+        def on_right(vec, i):
+            return linalg.vec_combination((c, right.get((j, i))) for j, c in vec.items())
+
         for i in range(alg.dim):
             for j in range(alg.dim):
-                prod = alg.product_indices(i, j)
+                prod = mul.get((i, j), {})
                 for k in range(self.dim):
-                    ek = {k: self.scalar(1)}
-                    lhs = {}
-                    for m, c in prod.items():
-                        linalg.vec_add_scaled(lhs, self.left.get((m, k), {}), c)
-                    rhs = self.left_index(i, self.left_index(j, ek))
-                    if not self._vec_small(linalg.vec_sub(lhs, rhs)):
+                    ek = {k: 1}
+                    lhs = linalg.vec_combination(
+                        (c, left.get((m, k))) for m, c in prod.items())
+                    if not self._agree(lhs, on_left(i, on_left(j, ek))):
                         raise PresentationError(
                             f"left module law fails at ({alg.labels[i]}, "
                             f"{alg.labels[j]}, {self.labels[k]})")
-                    lhs = {}
-                    for m, c in prod.items():
-                        linalg.vec_add_scaled(lhs, self.right.get((k, m), {}), c)
-                    rhs = self.right_index(self.right_index(ek, i), j)
-                    if not self._vec_small(linalg.vec_sub(lhs, rhs)):
+                    lhs = linalg.vec_combination(
+                        (c, right.get((k, m))) for m, c in prod.items())
+                    if not self._agree(lhs, on_right(on_right(ek, i), j)):
                         raise PresentationError(
                             f"right module law fails at ({self.labels[k]}, "
                             f"{alg.labels[i]}, {alg.labels[j]})")
-                    lhs = self.right_index(self.left_index(i, ek), j)
-                    rhs = self.left_index(i, self.right_index(ek, j))
-                    if not self._vec_small(linalg.vec_sub(lhs, rhs)):
+                    if not self._agree(on_right(on_left(i, ek), j),
+                                       on_left(i, on_right(ek, j))):
                         raise PresentationError(
                             f"mixed module law fails at ({alg.labels[i]}, "
                             f"{self.labels[k]}, {alg.labels[j]})")

@@ -26,6 +26,15 @@ def vec_add_scaled(target, src, factor):
     return target
 
 
+def vec_combination(terms):
+    """sum of c * v over (c, v) pairs, dropping exact zeros; v may be None."""
+    out = {}
+    for c, v in terms:
+        if v:
+            vec_add_scaled(out, v, c)
+    return out
+
+
 def vec_sub(u, v):
     out = dict(u)
     vec_add_scaled(out, v, -1)

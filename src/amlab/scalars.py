@@ -6,6 +6,7 @@ tolerance.  Rationals serialize as "p/q" strings so that JSON round-trips
 are lossless.
 """
 
+import math
 from fractions import Fraction
 
 RATIONAL = "rational"
@@ -23,6 +24,35 @@ def check_mode(mode):
     if mode not in MODES:
         raise SchemaError(f"unknown scalar mode {mode!r}; expected one of {MODES}")
     return mode
+
+
+def check_tol(tol):
+    """The tolerance as a float; negative, NaN or infinite values are rejected."""
+    try:
+        tol = float(tol)
+    except (TypeError, ValueError):
+        raise SchemaError(f"tolerance must be a number, got {tol!r}") from None
+    if not (math.isfinite(tol) and tol >= 0):
+        raise SchemaError(f"tolerance must be finite and non-negative, got {tol!r}")
+    return tol
+
+
+def clear_denominators(mode, *tables):
+    """The sparse tables {key: {index: scalar}} with one common denominator cleared.
+
+    In rational mode every entry is multiplied by the lcm D of all the
+    tables' denominators, which turns it into an int: a product of n scaled
+    entries is D^n times the true product, so two sums of such products of
+    equal length agree in ints exactly when they agree over the rationals.
+    In float mode the tables come back unchanged.
+    """
+    if mode != RATIONAL:
+        return tables
+    scale = math.lcm(*{c.denominator for table in tables
+                       for row in table.values() for c in row.values()})
+    return tuple({key: {k: c.numerator * (scale // c.denominator) for k, c in row.items()}
+                  for key, row in table.items()}
+                 for table in tables)
 
 
 def coerce(value, mode):

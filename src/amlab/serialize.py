@@ -36,6 +36,12 @@ def _as_list(obj, key):
     return value
 
 
+def _basis(data):
+    basis = _as_list(data, "basis")
+    _require(all(isinstance(label, str) for label in basis), "basis labels must be strings")
+    return basis
+
+
 # -- algebra -----------------------------------------------------------------
 
 # presentation provenance that survives a JSON round trip (plain data only;
@@ -63,7 +69,7 @@ def algebra_to_dict(algebra):
 
 
 def algebra_from_dict(data, mode, tol=scalars.DEFAULT_FLOAT_TOL, name=None):
-    basis = _as_list(data, "basis")
+    basis = _basis(data)
     weights = data.get("weights")
     mul_entries = _as_list(data, "mul")
     mul = {}
@@ -214,7 +220,7 @@ def bimodule_to_dict(X):
 
 
 def bimodule_from_dict(data, algebra):
-    basis = _as_list(data, "basis")
+    basis = _basis(data)
     weights = data.get("weights")
     left = {}
     for entry in _as_list(data, "left"):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from amlab import matrix_algebra, matrix_diagonal, serialize
+from amlab import matrix_algebra, matrix_diagonal, regular_bimodule, serialize
 from amlab.cli import main
 
 
@@ -71,6 +71,27 @@ def test_invalid_presentation_exits_3(tmp_path, good_net_file):
               "mul": [[0, 0, 1, "1"], [1, 0, 0, "1"]], "unit": None}
     path = write(tmp_path / "broken.json", broken)
     assert main(["check-diagonal", path, good_net_file]) == 3
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_bad_tolerance_exits_2(m2_file, tol, capsys):
+    assert main(["center", m2_file, "--mode", "float", "--tol", tol]) == 2
+    assert "tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("basis", [[["a"]], [1], [None]])
+def test_non_string_basis_label_exits_2(tmp_path, basis, capsys):
+    path = write(tmp_path / "A.json", {"basis": basis, "mul": [[0, 0, 0, "1"]]})
+    assert main(["center", path]) == 2
+    assert "basis labels must be strings" in capsys.readouterr().err
+
+
+def test_non_string_bimodule_label_exits_2(tmp_path, m2_file, capsys):
+    X = serialize.bimodule_to_dict(regular_bimodule(matrix_algebra(2)))
+    X["basis"][0] = 0
+    path = write(tmp_path / "X.json", X)
+    assert main(["classify", "derivation", m2_file, path]) == 2
+    assert "basis labels must be strings" in capsys.readouterr().err
 
 
 def test_build_matrix_diagonal(tmp_path, capsys):
