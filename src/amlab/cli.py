@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import serialize
-from .algebra import AlgebraError, PresentationError, center as algebra_center
+from .algebra import AlgebraError, center as algebra_center
 from .catalog import matrix_algebra
 from .derivations import (central_jordan_decompose, classify_maps,
                           jordan_decompose, lie_decompose, quotient_bimodule,
@@ -332,9 +332,6 @@ def main(argv=None):
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PresentationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 3
     except AlgebraError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 3

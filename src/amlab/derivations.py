@@ -4,9 +4,12 @@ A bimodule presentation fixes module basis vectors x_0..x_{m-1}, weights,
 and sparse action tables for b_i x_j and x_j b_i; the module laws
 (ab)x = a(bx), x(ab) = (xa)b and (ax)b = a(xb) are validated on basis
 triples.  A map D into the module is a derivation / Jordan derivation /
-Lie derivation when the corresponding product rule holds; classify_maps
-solves those identities exactly by elimination, which serves as the
-brute-force oracle for all decomposition procedures.
+Lie derivation when the corresponding product rule holds.  Each identity
+is written once, as per-basis-pair terms (_identity_terms): classify_maps
+turns them into linear equations and solves them exactly by elimination,
+and the five defect gates (derivation_defect ... trace_defect) evaluate
+the same terms on a map, so a map passes a gate exactly when it satisfies
+the equations classify_maps eliminates.
 
 The decomposition procedures run against an exact symmetric diagonal over
 the unitization of the algebra (an exact diagonal of a unital algebra is
@@ -297,78 +300,102 @@ def image_action(T, t):
 # identity defects and classification
 # ---------------------------------------------------------------------------
 
-def _pair_defect(D, X, combine):
-    alg = D.domain
+def _identity_terms(algebra, kind):
+    """The identity's terms on a map D, one list per basis pair (i, j).
+
+    A term (coefficient, q, op) stands for D(b_q) when op is None, for
+    b_i D(b_q) when op is ("L", i) and for D(b_q) b_j when op is ("R", j);
+    the identity holds at the pair when its terms sum to zero.  Jordan, Lie
+    and trace pairs run over i <= j or i < j: swapping i and j gives the same
+    terms up to sign.
+    """
+    d = algebra.dim
+    one = algebra.scalar(1)
+    if kind == "derivation":
+        for i in range(d):
+            for j in range(d):
+                terms = [(c, q, None) for q, c in algebra.product_indices(i, j).items()]
+                yield terms + [(-one, i, ("R", j)), (-one, j, ("L", i))]
+    elif kind == "jordan":
+        for i in range(d):
+            for j in range(i, d):
+                acc = dict(algebra.product_indices(i, j))
+                linalg.vec_add_scaled(acc, algebra.product_indices(j, i), 1)
+                terms = [(c, q, None) for q, c in acc.items()]
+                yield terms + [(-one, i, ("R", j)), (-one, j, ("L", i)),
+                               (-one, j, ("R", i)), (-one, i, ("L", j))]
+    elif kind == "lie":
+        for i in range(d):
+            for j in range(i + 1, d):
+                acc = dict(algebra.product_indices(i, j))
+                linalg.vec_add_scaled(acc, algebra.product_indices(j, i), -1)
+                terms = [(c, q, None) for q, c in acc.items()]
+                yield terms + [(-one, i, ("R", j)), (-one, j, ("L", i)),
+                               (one, j, ("R", i)), (one, i, ("L", j))]
+    elif kind == "central":
+        for i in range(d):
+            for j in range(d):
+                yield [(one, j, ("L", i)), (-one, j, ("R", i))]
+    elif kind == "trace":
+        for i in range(d):
+            for j in range(i + 1, d):
+                acc = dict(algebra.product_indices(i, j))
+                linalg.vec_add_scaled(acc, algebra.product_indices(j, i), -1)
+                yield [(c, q, None) for q, c in acc.items()]
+    else:
+        raise ValueError(f"unknown identity kind {kind!r}")
+
+
+def _identity_defect(D, kind):
+    """Largest weighted norm over basis pairs of the identity's residual at D.
+
+    D's domain is the module's algebra or its unitization, whose adjoined
+    unit acts as the identity; the trace identity has no action terms and
+    accepts any domain and codomain.
+    """
+    X = D.codomain
+    e_idx = None if kind == "trace" else X.adjoined_identity_index(D.domain)
+    w = X.weights
     worst = X.scalar(0)
-    for i in range(alg.dim):
-        bi = alg.basis_element(i)
-        Di = D.image_of_basis(i)
-        for j in range(alg.dim):
-            bj = alg.basis_element(j)
-            Dj = D.image_of_basis(j)
-            r = combine(bi, bj, Di, Dj)
-            n = r.norm()
-            if n > worst:
-                worst = n
+    for terms in _identity_terms(D.domain, kind):
+        residual = {}
+        for alpha, q, op in terms:
+            vec = D.images[q]
+            if not vec:
+                continue
+            if op is not None and op[1] != e_idx:
+                vec = (X.left_index(op[1], vec) if op[0] == "L"
+                       else X.right_index(vec, op[1]))
+            linalg.vec_add_scaled(residual, vec, alpha)
+        n = sum(abs(c) * w[k] for k, c in residual.items())
+        if n > worst:
+            worst = n
     return worst
 
 
 def derivation_defect(D):
     """max || D(b_i b_j) - D(b_i) b_j - b_i D(b_j) || over basis pairs."""
-    X = D.codomain
-
-    def combine(bi, bj, Di, Dj):
-        return D(multiply(bi, bj)) - X.act_right(Di, bj) - X.act_left(bi, Dj)
-
-    return _pair_defect(D, X, combine)
+    return _identity_defect(D, "derivation")
 
 
 def jordan_defect(D):
-    X = D.codomain
-
-    def combine(bi, bj, Di, Dj):
-        lhs = D(multiply(bi, bj) + multiply(bj, bi))
-        rhs = (X.act_right(Di, bj) + X.act_left(bi, Dj)
-               + X.act_right(Dj, bi) + X.act_left(bj, Di))
-        return lhs - rhs
-
-    return _pair_defect(D, X, combine)
+    """max || D(b_i b_j + b_j b_i) - D(b_i) b_j - b_i D(b_j) - D(b_j) b_i - b_j D(b_i) ||."""
+    return _identity_defect(D, "jordan")
 
 
 def lie_defect(D):
-    X = D.codomain
-
-    def combine(bi, bj, Di, Dj):
-        lhs = D(multiply(bi, bj) - multiply(bj, bi))
-        rhs = (X.act_right(Di, bj) + X.act_left(bi, Dj)
-               - X.act_right(Dj, bi) - X.act_left(bj, Di))
-        return lhs - rhs
-
-    return _pair_defect(D, X, combine)
+    """max || D([b_i, b_j]) - D(b_i) b_j - b_i D(b_j) + D(b_j) b_i + b_j D(b_i) ||."""
+    return _identity_defect(D, "lie")
 
 
 def centrality_defect(D):
     """max || b_i D(b_j) - D(b_j) b_i ||; zero when D is central-valued."""
-    X = D.codomain
-
-    def combine(bi, bj, Di, Dj):
-        return X.act_left(bi, Dj) - X.act_right(Dj, bi)
-
-    return _pair_defect(D, X, combine)
+    return _identity_defect(D, "central")
 
 
 def trace_defect(D):
     """max || D(b_i b_j - b_j b_i) ||; zero when D kills commutators."""
-    alg = D.domain
-    worst = D.codomain.scalar(0)
-    for i in range(alg.dim):
-        bi = alg.basis_element(i)
-        for j in range(i + 1, alg.dim):
-            n = D(multiply(bi, alg.basis_element(j))
-                  - multiply(alg.basis_element(j), bi)).norm()
-            if n > worst:
-                worst = n
-    return worst
+    return _identity_defect(D, "trace")
 
 
 def inner_derivation(X, x):
@@ -385,13 +412,9 @@ def inner_derivation(X, x):
 
 def _identity_rows(algebra, X, kind):
     """Linear equations on the flattened map matrix imposed by the identity."""
-    d = algebra.dim
     m = X.dim
     rows = []
-
-    def emit(terms):
-        # terms: (coefficient, source basis index q, op) with op None (identity),
-        # ("L", i) left action by b_i, or ("R", j) right action by b_j
+    for terms in _identity_terms(algebra, kind):
         per_coord = {}
         for alpha, q, op in terms:
             for k in range(m):
@@ -412,44 +435,6 @@ def _identity_rows(algebra, X, kind):
                     else:
                         row[col] = v
         rows.extend(r for r in per_coord.values() if r)
-
-    one = algebra.scalar(1)
-    if kind == "derivation":
-        for i in range(d):
-            for j in range(d):
-                terms = [(c, q, None) for q, c in algebra.product_indices(i, j).items()]
-                terms += [(-one, i, ("R", j)), (-one, j, ("L", i))]
-                emit(terms)
-    elif kind == "jordan":
-        for i in range(d):
-            for j in range(i, d):
-                acc = dict(algebra.product_indices(i, j))
-                linalg.vec_add_scaled(acc, algebra.product_indices(j, i), 1)
-                terms = [(c, q, None) for q, c in acc.items()]
-                terms += [(-one, i, ("R", j)), (-one, j, ("L", i)),
-                          (-one, j, ("R", i)), (-one, i, ("L", j))]
-                emit(terms)
-    elif kind == "lie":
-        for i in range(d):
-            for j in range(i + 1, d):
-                acc = dict(algebra.product_indices(i, j))
-                linalg.vec_add_scaled(acc, algebra.product_indices(j, i), -1)
-                terms = [(c, q, None) for q, c in acc.items()]
-                terms += [(-one, i, ("R", j)), (-one, j, ("L", i)),
-                          (one, j, ("R", i)), (one, i, ("L", j))]
-                emit(terms)
-    elif kind == "central":
-        for i in range(d):
-            for j in range(d):
-                emit([(one, j, ("L", i)), (-one, j, ("R", i))])
-    elif kind == "trace":
-        for i in range(d):
-            for j in range(i + 1, d):
-                acc = dict(algebra.product_indices(i, j))
-                linalg.vec_add_scaled(acc, algebra.product_indices(j, i), -1)
-                emit([(c, q, None) for q, c in acc.items()])
-    else:
-        raise ValueError(f"unknown identity kind {kind!r}")
     return rows
 
 

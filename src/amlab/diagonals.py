@@ -155,18 +155,7 @@ def matrix_diagonal(n, algebra=None, mode=None):
     Symmetric, and an exact diagonal: all four defects vanish on every
     test element.
     """
-    if n < 1:
-        raise ValueError("matrix diagonal needs n >= 1")
-    if algebra is None:
-        algebra = matrix_algebra(n, mode=mode or "rational")
-    if algebra.meta.get("matrix_n") != n:
-        raise AlgebraError(f"presentation is not the {n}x{n} matrix algebra")
-    inv = algebra.scalar(1) / algebra.scalar(n)
-    coeffs = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            coeffs[(matrix_unit_index(n, i, j), matrix_unit_index(n, j, i))] = inv
-    return Tensor2(algebra, coeffs)
+    return truncated_matrix_diagonal(n, n, algebra, mode)
 
 
 def truncated_matrix_diagonal(n, ambient_dim, algebra=None, mode=None):

@@ -19,17 +19,6 @@ class LinearMap:
         ]
 
     @classmethod
-    def from_function(cls, domain, codomain, fn):
-        """Build from a callable on basis elements of the domain."""
-        images = []
-        for j in range(domain.dim):
-            out = fn(domain.basis_element(j))
-            if out.space is not codomain:
-                raise AlgebraError("function returned an element over the wrong space")
-            images.append(dict(out.coeffs))
-        return cls(domain, codomain, images)
-
-    @classmethod
     def zero(cls, domain, codomain):
         return cls(domain, codomain, [{} for _ in range(domain.dim)])
 

@@ -12,13 +12,14 @@ from amlab import (AlgebraError, AlgebraPresentation, BimodulePresentation,
                    derivation_defect, direct_sum_bimodule, elementary, flip,
                    group_algebra, group_diagonal, image_action, inner_derivation,
                    jordan_decompose, jordan_defect, left_action, lie_decompose,
-                   lie_defect, matrix_algebra, matrix_diagonal,
+                   lie_defect, matrix_algebra, matrix_diagonal, multiply,
                    net_boundedness, opposite_left_action, opposite_right_action,
                    quotient_bimodule, regular_bimodule, right_action,
-                   sandwich_action, trace_defect)
+                   sandwich_action, symmetric_group_table, trace_defect, unitize,
+                   upper_triangular_algebra)
 
 from amlab.maps import flatten_map
-from amlab import linalg
+from amlab import derivations, linalg
 
 
 def rand_element(rng, space, lo=-3, hi=3):
@@ -507,6 +508,137 @@ def test_hom_checks():
         check_epimorphism(emb)
     proj = block_projection(S, 1)
     check_epimorphism(proj)              # multiplicative and onto
+
+
+# -- the defect gates against an independent reference ------------------------------
+
+# The five product rules written out in Element arithmetic over every basis pair,
+# independently of the term encoding that the gates and classify_maps share.
+REFERENCE_RESIDUALS = {
+    derivation_defect: lambda D, X, bi, bj, Di, Dj: (
+        D(multiply(bi, bj)) - X.act_right(Di, bj) - X.act_left(bi, Dj)),
+    jordan_defect: lambda D, X, bi, bj, Di, Dj: (
+        D(multiply(bi, bj) + multiply(bj, bi))
+        - (X.act_right(Di, bj) + X.act_left(bi, Dj)
+           + X.act_right(Dj, bi) + X.act_left(bj, Di))),
+    lie_defect: lambda D, X, bi, bj, Di, Dj: (
+        D(multiply(bi, bj) - multiply(bj, bi))
+        - (X.act_right(Di, bj) + X.act_left(bi, Dj)
+           - X.act_right(Dj, bi) - X.act_left(bj, Di))),
+    centrality_defect: lambda D, X, bi, bj, Di, Dj: (
+        X.act_left(bi, Dj) - X.act_right(Dj, bi)),
+    trace_defect: lambda D, X, bi, bj, Di, Dj: (
+        D(multiply(bi, bj) - multiply(bj, bi))),
+}
+
+IDENTITY_KINDS = {derivation_defect: "derivation", jordan_defect: "jordan",
+                  lie_defect: "lie", centrality_defect: "central",
+                  trace_defect: "trace"}
+
+
+def reference_defect(defect, D):
+    X, alg = D.codomain, D.domain
+    worst = X.scalar(0)
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            r = REFERENCE_RESIDUALS[defect](D, X, alg.basis_element(i), alg.basis_element(j),
+                                            D.image_of_basis(i), D.image_of_basis(j))
+            worst = max(worst, r.norm())
+    return worst
+
+
+def rand_map(rng, domain, X):
+    """A map with small random coefficients; floats in float mode."""
+    images = []
+    for _ in range(domain.dim):
+        img = {}
+        for k in range(X.dim):
+            if rng.random() < 0.5:
+                img[k] = X.scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        images.append(img)
+    return LinearMap(domain, X, images)
+
+
+def gate_cases(mode):
+    s3 = group_algebra(*symmetric_group_table(3), mode=mode)
+    t3 = upper_triangular_algebra(3, mode=mode)
+    return [regular_bimodule(matrix_algebra(3, mode=mode)),
+            regular_bimodule(t3),
+            regular_bimodule(s3),
+            direct_sum_bimodule([regular_bimodule(t3), regular_bimodule(t3)])]
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_defect_gates_match_the_reference(mode):
+    rng = random.Random(17)
+    for X in gate_cases(mode):
+        A = X.algebra
+        maps = [rand_map(rng, A, X) for _ in range(3)]
+        for defect in REFERENCE_RESIDUALS:
+            for D in maps:
+                got, want = defect(D), reference_defect(defect, D)
+                assert want > 0
+                if mode == "rational":
+                    assert got == want
+                else:
+                    assert abs(got - want) <= A.tol
+
+
+def row_values(rows, flat):
+    return [sum(c * flat.get(col, 0) for col, c in row.items()) for row in rows]
+
+
+def test_defect_is_zero_exactly_when_the_classified_rows_vanish():
+    rng = random.Random(19)
+    for X in gate_cases("rational"):
+        A = X.algebra
+        maps = [rand_map(rng, A, X) for _ in range(2)]
+        for kind in ("derivation", "jordan", "lie", "central_trace"):
+            basis = classify_maps(A, X, kind)
+            maps += basis
+            if basis:
+                combo = LinearMap.zero(A, X)
+                for D in basis:
+                    combo = combo + D.scaled(rng.randint(-3, 3))
+                maps.append(combo)
+        for defect, kind in IDENTITY_KINDS.items():
+            rows = derivations._identity_rows(A, X, kind)
+            outcomes = set()
+            for D in maps:
+                vanish = all(v == 0 for v in row_values(rows, flatten_map(D)))
+                assert (defect(D) == 0) == vanish
+                outcomes.add(vanish)
+            assert outcomes == {True, False}
+
+
+def test_defect_gates_on_the_unitization_domain(m2, x2):
+    sharp = unitize(m2)
+    e_idx = sharp.meta["adjoined_index"]
+    rng = random.Random(23)
+    D = rand_map(rng, sharp, x2)
+    x = rand_element(rng, x2)
+    ad_images = [dict((x2.act_left(b, x) - x2.act_right(x, b)).coeffs)
+                 for b in sharp.basis_elements()]
+    inner = LinearMap(sharp, x2, ad_images)
+    assert inner.images[e_idx] == {}
+    assert derivation_defect(inner) == 0
+    for defect in REFERENCE_RESIDUALS:
+        assert defect(D) == reference_defect(defect, D)
+        assert defect(inner) == reference_defect(defect, inner)
+
+
+def test_defect_gates_reject_an_unrelated_domain(x2):
+    other = matrix_algebra(2)
+    D = rand_map(random.Random(29), other, x2)
+    for defect in (derivation_defect, jordan_defect, lie_defect, centrality_defect):
+        with pytest.raises(AlgebraError):
+            defect(D)
+    assert trace_defect(D) == reference_defect(trace_defect, D)
+
+
+def test_trace_defect_accepts_any_codomain(m2):
+    D = LinearMap.identity(m2)
+    assert trace_defect(D) == reference_defect(trace_defect, D) == 2
 
 
 # -- float mode ---------------------------------------------------------------------------

@@ -96,6 +96,18 @@ def test_matrix_diagonal_bad_n():
         matrix_diagonal(0)
 
 
+
+def test_matrix_diagonal_is_the_full_truncation(m3):
+    for n in range(1, 5):
+        A = matrix_algebra(n)
+        t = matrix_diagonal(n, algebra=A)
+        assert t == truncated_matrix_diagonal(n, n, algebra=A)
+        assert list(t.coeffs.items()) == [
+            ((matrix_unit_index(n, i, j), matrix_unit_index(n, j, i)), Fraction(1, n))
+            for i in range(1, n + 1) for j in range(1, n + 1)]
+    with pytest.raises(AlgebraError):
+        matrix_diagonal(2, algebra=m3)
+
 # -- truncated diagonals ---------------------------------------------------------
 
 @pytest.fixture(scope="module")
