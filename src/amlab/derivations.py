@@ -472,7 +472,7 @@ def central_derivation_space(algebra, X, diagonal=None):
         if quality.max_defect <= quality.tolerance and quality.symmetric:
             checked = True
             if basis:
-                raise AssertionError(
+                raise AlgebraError(
                     "nonzero central derivation coexists with an exact symmetric "
                     "diagonal; the implementation is inconsistent")
     return CentralDerivationReport(basis=basis, vanishing_checked=checked)

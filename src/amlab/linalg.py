@@ -2,9 +2,15 @@
 
 Vectors and matrix rows are dicts {index: coefficient}; absent keys are
 zero.  With eps == 0 arithmetic is exact and pivots are the first nonzero
-entry of a row; with eps > 0 entries within eps of zero are treated as
-zero and pivots are chosen by largest magnitude.
+entry of a row.  The elimination itself runs in Python ints: each incoming
+row is cleared of its denominators once and reduced fraction-free, and
+values become Fractions only where they leave a Span (its rows, reduce,
+and the results of nullspace and solve).  With eps > 0 entries within eps
+of zero are treated as zero and pivots are chosen by largest magnitude.
 """
+
+import math
+from fractions import Fraction
 
 
 def vec_scale(v, c):
@@ -47,12 +53,6 @@ def vec_chop(v, eps):
     return {i: x for i, x in v.items() if abs(x) > eps}
 
 
-def vec_is_zero(v, eps=0):
-    if eps == 0:
-        return not v
-    return all(abs(x) <= eps for x in v.values())
-
-
 def _pick_pivot(v, eps, avoid=None):
     if eps == 0:
         best = min(v)
@@ -68,49 +68,117 @@ def _pick_pivot(v, eps, avoid=None):
     return best
 
 
+def _clear_denominators(v):
+    """(out, s) with v == out / s and out in ints; zero entries are dropped."""
+    try:
+        s = math.lcm(*[x.denominator for x in v.values()])
+    except AttributeError:
+        # floats (float mode with tol 0) are eliminated as the rationals they are
+        return _clear_denominators({i: Fraction(x) for i, x in v.items()})
+    return {i: x.numerator * (s // x.denominator) for i, x in v.items() if x}, s
+
+
+def _subtract_multiple(out, row, a, c):
+    """out = a' * out - c' * row in place, with a'/c' = a/c in lowest terms; returns a'.
+
+    row is a at the pivot where out is c, so out becomes zero there.  In
+    float mode a is exactly 1.0 and out is not scaled.
+    """
+    if a != 1:
+        g = math.gcd(a, c)
+        a, c = a // g, c // g
+    if a != 1:
+        for i, x in out.items():
+            out[i] = x * a
+    vec_add_scaled(out, row, -c)
+    return a
+
+
+def _make_primitive(row, p):
+    """Divide an int row by the gcd of its entries, signed so that row[p] > 0."""
+    g = math.gcd(*row.values())
+    if row[p] < 0:
+        g = -g
+    if g != 1:
+        for i, x in row.items():
+            row[i] = x // g
+
+
 class Span:
-    """Incremental row space in reduced form, supporting reduction and membership."""
+    """Incremental row space in reduced form, supporting reduction and membership.
+
+    Stored rows are fully reduced (Gauss-Jordan): each is zero at every
+    other pivot, so reducing a vector visits only the pivots in its own
+    support.  In exact mode a stored row is in ints, primitive, with a
+    positive value at its pivot; in float mode its pivot value is exactly
+    1.0, which makes that column exactly zero in the rows it is subtracted
+    from.
+    """
 
     def __init__(self, eps=0, avoid_col=None):
         self.eps = eps
         self.avoid_col = avoid_col  # column used last as a pivot (RHS of augmented systems)
         self.pivots = []   # pivot column per stored row
-        self.rows = []     # rows normalized to 1 at their pivot, mutually reduced
+        self._rows = []    # stored rows, in the order of pivots
+        self._at = {}      # pivot column -> its position in pivots
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def rows(self):
+        """The stored rows normalized to 1 at their pivot, mutually reduced."""
+        return [self._normalized(p, row) for p, row in zip(self.pivots, self._rows)]
+
+    def _normalized(self, p, row):
+        if self.eps:
+            return row
+        a = row[p]
+        return {i: Fraction(x, a) for i, x in row.items()}
+
+    def _residue(self, v):
+        """(out, s) with out / s the residue of v; out is in ints in exact mode."""
+        if self.eps:
+            out, s = {i: x for i, x in v.items() if x}, 1
+        else:
+            out, s = _clear_denominators(v)
+        # in the order the pivots were stored, which fixes the residue's key order
+        for k in sorted(self._at[i] for i in out if i in self._at):
+            p, row = self.pivots[k], self._rows[k]
+            s *= _subtract_multiple(out, row, row[p], out[p])
+        return vec_chop(out, self.eps), s
 
     def reduce(self, v):
         """Residue of v after eliminating every stored pivot column."""
-        out = dict(v)
-        for p, row in zip(self.pivots, self.rows):
-            c = out.get(p)
-            if c:
-                vec_add_scaled(out, row, -c)
-        return vec_chop(out, self.eps)
+        out, s = self._residue(v)
+        if self.eps:
+            return out
+        return {i: Fraction(x, s) for i, x in out.items()}
 
     def add(self, v):
         """Insert v; returns the reduced new basis row, or None if v was dependent."""
-        res = self.reduce(v)
-        if vec_is_zero(res, self.eps):
+        res, _ = self._residue(v)
+        if not res:
             return None
         p = _pick_pivot(res, self.eps, avoid=self.avoid_col)
-        if p is None:
-            return None
-        inv = 1 / res[p]
-        res = vec_scale(res, inv)
+        if self.eps:
+            inv = 1 / res[p]
+            res = vec_scale(res, inv)
+            res[p] = 1.0
+        else:
+            _make_primitive(res, p)
         # keep fully reduced form (Gauss-Jordan)
-        for other in self.rows:
-            c = other.get(p)
-            if c:
-                vec_add_scaled(other, res, -c)
+        for q, other in zip(self.pivots, self._rows):
+            if p in other and _subtract_multiple(other, res, res[p], other[p]) != 1:
+                _make_primitive(other, q)
+        self._at[p] = len(self.pivots)
         self.pivots.append(p)
-        self.rows.append(res)
-        return res
+        self._rows.append(res)
+        return self._normalized(p, res)
 
     def contains(self, v):
-        return vec_is_zero(self.reduce(v), self.eps)
+        return not self._residue(v)[0]
 
 
 def span_basis(vectors, eps=0):
@@ -128,25 +196,15 @@ def rank(rows, eps=0):
 def nullspace(rows, ncols, eps=0):
     """Basis of {x : row . x == 0 for every row}, as sparse vectors of length ncols."""
     sp = span_basis(rows, eps)
-    pivot_of = dict(zip(sp.pivots, sp.rows))
-    free = [j for j in range(ncols) if j not in pivot_of]
-    basis = []
-    for f in free:
-        v = {f: _one_like(rows, eps)}
-        for p, row in pivot_of.items():
-            c = row.get(f)
-            if c:
-                v[p] = -c
-        basis.append(v)
-    return basis
-
-
-def _one_like(rows, eps):
-    # match the scalar type in use so rational mode stays rational
-    for row in rows:
-        for x in row.values():
-            return x / x
-    return 1 if eps == 0 else 1.0
+    pivots = set(sp.pivots)
+    one = 1.0 if eps else Fraction(1)
+    basis = {f: {f: one} for f in range(ncols) if f not in pivots}
+    # a stored row is zero at every other pivot, so its other entries are free columns
+    for p, row in zip(sp.pivots, sp._rows):
+        for f, c in sp._normalized(p, row).items():
+            if f != p:
+                basis[f][p] = -c
+    return list(basis.values())
 
 
 def solve(rows, rhs, ncols, eps=0):

@@ -126,9 +126,11 @@ def trace_feasibility(algebra, z):
                 pairs.append((p, q))
                 generators.append(dict(c.coeffs))
     sp = linalg.span_basis(generators, eps)
-    coords = linalg.coordinates_in_span(generators, dict(z.coeffs), eps)
+    target = dict(z.coeffs)
+    coords = (linalg.coordinates_in_span(generators, target, eps)
+              if sp.contains(target) else None)
     if coords is not None:
-        cert = [(p, q, c) for (p, q), c in zip(pairs, coords) if c != 0]
+        cert = [(p, q, algebra.scalar(c)) for (p, q), c in zip(pairs, coords) if c != 0]
         return FeasibilityResult("INFEASIBLE", certificate=cert, commutator_dim=sp.dim)
     rows = [dict(v) for v in sp.rows]
     rhs = [algebra.scalar(0)] * len(rows)
@@ -137,7 +139,7 @@ def trace_feasibility(algebra, z):
     sol = linalg.solve(rows, rhs, algebra.dim, eps)
     if sol is None:
         # z in the span would have been caught above; nothing else can fail
-        raise AssertionError("witness system unexpectedly inconsistent")
+        raise AlgebraError("witness system unexpectedly inconsistent")
     values = [sol.get(i, algebra.scalar(0)) for i in range(algebra.dim)]
     f = Functional(algebra, values)
     return FeasibilityResult("FEASIBLE", functional=f, commutator_dim=sp.dim)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from amlab import matrix_algebra, matrix_diagonal, regular_bimodule, serialize
+from amlab import linalg, matrix_algebra, matrix_diagonal, regular_bimodule, serialize
 from amlab.cli import main
 
 
@@ -235,6 +235,23 @@ def test_witness_feasible_and_infeasible(tmp_path, m2_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["decision"] == "INFEASIBLE"
     assert payload["certificate"]
+
+
+def test_witness_float_mode_without_tolerance(tmp_path, m2_file, capsys):
+    # --tol 0 eliminates exactly; the certificate still holds the mode's floats
+    z = write(tmp_path / "z.json", {"coeffs": [[0, "1"], [3, "-1"]]})
+    assert main(["witness", m2_file, z, "--mode", "float", "--tol", "0"]) == 1
+    certificate = json.loads(capsys.readouterr().out)["certificate"]
+    assert certificate and all(type(c) is float for _, _, c in certificate)
+
+
+def test_inconsistent_witness_system_exits_3(tmp_path, m2_file, monkeypatch, capsys):
+    monkeypatch.setattr(linalg, "solve", lambda *args: None)
+    z = write(tmp_path / "z.json", {"coeffs": [[0, "1"], [3, "1"]]})
+    assert main(["witness", m2_file, z]) == 3
+    err = capsys.readouterr().err
+    assert "witness system unexpectedly inconsistent" in err
+    assert "Traceback" not in err
 
 
 def test_witness_with_diagonal(tmp_path, m2_file, capsys):

@@ -413,6 +413,14 @@ def test_central_derivations_vanish_m2_m3(m2, m3):
         assert rep.vanishing_checked
 
 
+def test_central_derivation_beside_an_exact_diagonal_is_an_algebra_error(m2, monkeypatch):
+    # only an inconsistent elimination could produce one; it must not escape as an assert
+    monkeypatch.setattr(linalg, "nullspace", lambda *args: [{0: Fraction(1)}])
+    with pytest.raises(AlgebraError, match="nonzero central derivation"):
+        central_derivation_space(m2, regular_bimodule(m2),
+                                 diagonal=matrix_diagonal(2, algebra=m2))
+
+
 def test_central_derivations_trivial_module(m2):
     X = BimodulePresentation(m2, ["w"], {}, {})
     rep = central_derivation_space(m2, X)
@@ -654,6 +662,31 @@ def test_float_mode_decompositions():
     rep2 = lie_decompose(D, t)
     assert rep2.ok
     assert rep2.central_trace.is_zero()
+
+
+
+KIND_DEFECTS = {"derivation": [derivation_defect], "jordan": [jordan_defect],
+                "lie": [lie_defect], "central_trace": [centrality_defect, trace_defect]}
+
+
+@pytest.mark.parametrize("make", [lambda mode: upper_triangular_algebra(5, mode=mode),
+                                  lambda mode: matrix_algebra(5, mode=mode),
+                                  lambda mode: group_algebra(*symmetric_group_table(3),
+                                                             mode=mode)],
+                         ids=["T5", "M5", "l1(S3)"])
+def test_float_classification_matches_rational_dimensions(make):
+    rng = random.Random(37)
+    exact, approx = make("rational"), make("float")
+    X = regular_bimodule(approx)
+    for kind, gates in KIND_DEFECTS.items():
+        basis = classify_maps(approx, X, kind)
+        assert basis
+        assert len(basis) == len(classify_maps(exact, regular_bimodule(exact), kind))
+        combo = LinearMap.zero(approx, X)
+        for D in basis:
+            combo = combo + D.scaled(rng.choice([-3, -2, -1, 1, 2, 3]))
+        for gate in gates:
+            assert gate(combo) <= approx.tol
 
 
 # -- boundedness report ------------------------------------------------------------------

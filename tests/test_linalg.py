@@ -107,3 +107,174 @@ def test_float_mode_pivoting():
     for v in basis:
         for row in rows:
             assert abs(dot(row, v)) < 1e-9
+
+
+
+def test_exact_mode_eliminates_floats_as_rationals():
+    rows = [{0: 0.1, 1: 0.7, 2: -1.5}, {0: 0.3, 1: 2.1}, {1: 1e-300, 2: 3.0}]
+    exact = [{j: Fraction(x) for j, x in row.items()} for row in rows]
+    assert linalg.nullspace(rows, 4) == linalg.nullspace(exact, 4)
+    rhs = [1.0, 0.5, 0.0]
+    assert linalg.solve(rows, rhs, 3) == linalg.solve(exact, [Fraction(b) for b in rhs], 3)
+
+# -- the integer kernel against the Fraction elimination it replaced -------------------
+
+def ref_add_scaled(target, src, factor):
+    for i, x in src.items():
+        y = target.get(i, 0) + factor * x
+        if y == 0:
+            target.pop(i, None)
+        else:
+            target[i] = y
+
+
+class ReferenceSpan:
+    """Gauss-Jordan in Fractions over every stored row: exact-mode Span before the kernel."""
+
+    def __init__(self, avoid_col=None):
+        self.avoid_col = avoid_col
+        self.pivots = []
+        self.rows = []
+
+    def reduce(self, v):
+        out = dict(v)
+        for p, row in zip(self.pivots, self.rows):
+            c = out.get(p)
+            if c:
+                ref_add_scaled(out, row, -c)
+        return out
+
+    def add(self, v):
+        res = self.reduce(v)
+        if not res:
+            return None
+        p = min(res)
+        if p == self.avoid_col and len(res) > 1:
+            p = sorted(res)[1]
+        inv = 1 / res[p]
+        res = {i: x * inv for i, x in res.items()}
+        for other in self.rows:
+            c = other.get(p)
+            if c:
+                ref_add_scaled(other, res, -c)
+        self.pivots.append(p)
+        self.rows.append(res)
+        return res
+
+    def contains(self, v):
+        return not self.reduce(v)
+
+
+def ref_nullspace(rows, ncols):
+    sp = ReferenceSpan()
+    for row in rows:
+        sp.add(row)
+    pivot_of = dict(zip(sp.pivots, sp.rows))
+    basis = []
+    for f in range(ncols):
+        if f in pivot_of:
+            continue
+        v = {f: Fraction(1)}
+        for p, row in pivot_of.items():
+            c = row.get(f)
+            if c:
+                v[p] = -c
+        basis.append(v)
+    return basis
+
+
+def ref_solve(rows, rhs, ncols):
+    sp = ReferenceSpan(avoid_col=ncols)
+    for row, b in zip(rows, rhs):
+        r = dict(row)
+        if b:
+            r[ncols] = b
+        sp.add(r)
+    sol = {}
+    for p, row in zip(sp.pivots, sp.rows):
+        if p == ncols:
+            return None
+        b = row.get(ncols)
+        if b:
+            sol[p] = b
+    return sol
+
+
+def ref_coordinates_in_span(generators, target):
+    coords = sorted(set(target).union(*generators))
+    rows = [{j: g[i] for j, g in enumerate(generators) if i in g} for i in coords]
+    sol = ref_solve(rows, [target.get(i, 0) for i in coords], len(generators))
+    return None if sol is None else [sol.get(j, 0) for j in range(len(generators))]
+
+
+def rand_scalar(rng):
+    if rng.random() < 0.5:
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 12))
+
+
+def rand_system(rng, ncols):
+    """Sparse rows with random, duplicate, rescaled, zero and dependent members."""
+    rows = []
+    for _ in range(rng.randint(0, 9)):
+        kind = rng.random()
+        if rows and kind < 0.15:
+            rows.append(dict(rng.choice(rows)))
+        elif rows and kind < 0.3:
+            c = rand_scalar(rng)
+            rows.append({i: c * x for i, x in rng.choice(rows).items()})
+        elif kind < 0.4:
+            rows.append({})
+        elif len(rows) > 1 and kind < 0.55:
+            row = {}
+            for r in rng.sample(rows, 2):
+                ref_add_scaled(row, r, rand_scalar(rng))
+            rows.append(row)
+        else:
+            rows.append({j: rand_scalar(rng) for j in range(ncols) if rng.random() < 0.4})
+    return rows
+
+
+def items(vectors):
+    return [list(v.items()) for v in vectors]
+
+
+def exact(vectors):
+    return all(type(x) is Fraction for v in vectors for x in v.values())
+
+
+def test_integer_kernel_matches_the_fraction_reference():
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(300):
+        ncols = rng.randint(1, 8)
+        rows = rand_system(rng, ncols)
+        sp, ref = linalg.Span(), ReferenceSpan()
+        for row in rows:
+            got, want = sp.add(row), ref.add(row)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert list(got.items()) == list(want.items()) and exact([got])
+        assert sp.pivots == ref.pivots and sp.dim == len(ref.rows)
+        assert items(sp.rows) == items(ref.rows) and exact(sp.rows)
+        assert linalg.rank(rows) == len(ref.rows)
+        probes = rand_system(rng, ncols) + rows
+        for v in probes:
+            assert list(sp.reduce(v).items()) == list(ref.reduce(v).items())
+            assert exact([sp.reduce(v)])
+            assert sp.contains(v) == ref.contains(v)
+            seen.add(("contains", ref.contains(v)))
+        basis = linalg.nullspace(rows, ncols)
+        assert items(basis) == items(ref_nullspace(rows, ncols)) and exact(basis)
+        # rows that are empty with b != 0 only hit the augmented column
+        rhs = [rand_scalar(rng) if rng.random() < 0.7 else 0 for _ in rows]
+        sol, want = linalg.solve(rows, rhs, ncols), ref_solve(rows, rhs, ncols)
+        assert (sol is None) == (want is None)
+        seen.add(("solvable", want is not None))
+        if sol is not None:
+            assert list(sol.items()) == list(want.items()) and exact([sol])
+        for target in probes[:4]:
+            assert (linalg.coordinates_in_span(rows, target)
+                    == ref_coordinates_in_span(rows, target))
+    assert seen == {(check, b) for check in ("contains", "solvable") for b in (True, False)}
+

@@ -7,9 +7,10 @@ import pytest
 
 from amlab import (AlgebraError, Functional, center, commutator,
                    contract_swapped, cyclic_group_table, group_algebra,
-                   group_diagonal, left_action, matrix_algebra,
-                   matrix_diagonal, right_action, trace_feasibility,
-                   upper_triangular_algebra, witness_from_diagonal)
+                   group_diagonal, left_action, linalg, matrix_algebra,
+                   matrix_diagonal, right_action, symmetric_group_table,
+                   trace_feasibility, upper_triangular_algebra,
+                   witness_from_diagonal)
 
 from oracles import sympy_rank
 
@@ -84,6 +85,50 @@ def test_decision_matches_brute_force_membership():
                 sympy_rank(gens, A.dim)
             res = trace_feasibility(A, z)
             assert res.feasible == (not in_span)
+
+
+
+def commutator_generators(A):
+    pairs, gens = [], []
+    for p in range(A.dim):
+        for q in range(p + 1, A.dim):
+            c = commutator(A.basis_element(p), A.basis_element(q))
+            if c.coeffs:
+                pairs.append((p, q))
+                gens.append(dict(c.coeffs))
+    return pairs, gens
+
+
+def test_certificates_match_coordinates_of_every_candidate():
+    # the answer of solving for coordinates whether or not z is in the span
+    rng = random.Random(41)
+    algebras = [matrix_algebra(3), upper_triangular_algebra(3),
+                group_algebra(*symmetric_group_table(3)),
+                group_algebra(*cyclic_group_table(4))]
+    decisions = set()
+    for A in algebras:
+        pairs, gens = commutator_generators(A)
+        candidates = [A.unit_element()] + [rand_element(rng, A) for _ in range(6)]
+        candidates += [A.element(g) for g in gens[:6]]
+        for z in candidates:
+            if z.is_zero():
+                continue
+            coords = linalg.coordinates_in_span(gens, dict(z.coeffs))
+            res = trace_feasibility(A, z)
+            decisions.add(res.decision)
+            if coords is None:
+                assert res.feasible and res.certificate is None
+            else:
+                assert res.certificate == [(p, q, c) for (p, q), c in zip(pairs, coords)
+                                           if c != 0]
+    assert decisions == {"FEASIBLE", "INFEASIBLE"}
+
+
+def test_feasible_answer_solves_no_coordinates(m3, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("coordinates_in_span called for a feasible z")
+    monkeypatch.setattr(linalg, "coordinates_in_span", refuse)
+    assert trace_feasibility(m3, m3.unit_element()).feasible
 
 
 def test_witness_identity_contract_swapped(m3):
