@@ -162,7 +162,7 @@ class AlgebraPresentation(BasisSpace):
         """
         mul = self.mul
         dim = self.dim
-        self._cleared, = scalars.clear_denominators(self.mode, mul)
+        _, self._cleared = scalars.clear_denominators(self.mode, mul)
         try:
             for (i, j) in mul:
                 for k in range(dim):

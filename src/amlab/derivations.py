@@ -11,6 +11,15 @@ and the five defect gates (derivation_defect ... trace_defect) evaluate
 the same terms on a map, so a map passes a gate exactly when it satisfies
 the equations classify_maps eliminates.
 
+In rational mode these run in ints: a bimodule's IntegerTables hold its
+algebra's and both action tables with one common denominator cleared, built
+once on first use.  The rows classify_maps eliminates are those tables'
+ints, the gates clear a map's images and the weights once and divide once
+at the end, and the module actions (left_index, right_index,
+sandwich_action, image_action) return Fractions only in their results.
+Float mode runs the same code with a scale of 1 and the same float
+operations.
+
 The decomposition procedures run against an exact symmetric diagonal over
 the unitization of the algebra (an exact diagonal of a unital algebra is
 lifted automatically).  Writing x for the diagonal evaluated through the
@@ -23,6 +32,7 @@ the central-trace remainder as two maps.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg, scalars
 from .algebra import (AlgebraError, AlgebraPresentation, BasisSpace, Element,
@@ -33,6 +43,8 @@ from .scalars import RATIONAL
 from .tensor import contract
 
 MAP_KINDS = ("derivation", "jordan", "lie", "central_trace")
+
+_EMPTY = {}
 
 
 class BimodulePresentation(BasisSpace):
@@ -50,8 +62,8 @@ class BimodulePresentation(BasisSpace):
             raise AlgebraError("a bimodule needs an algebra presentation")
         super().__init__(labels, weights, algebra.mode, algebra.tol, name)
         self.algebra = algebra
-        self.left = self._clean_action(left, algebra.dim, self.dim)
-        self.right = self._clean_action(right, self.dim, algebra.dim)
+        self.left = self._clean_action(left, algebra, self)
+        self.right = self._clean_action(right, self, algebra)
         self.action_bound = self._action_bound()
         if validate:
             self._check_module_laws()
@@ -66,10 +78,12 @@ class BimodulePresentation(BasisSpace):
                    validate=False)
 
     def _clean_action(self, table, first, second):
+        """The table with checked indices and coerced nonzero entries; its keys
+        index first and then second (the algebra or this module)."""
         out = {}
         for (i, j), entry in table.items():
-            if not (0 <= i < first and 0 <= j < second):
-                raise PresentationError(f"action index ({i},{j}) out of range")
+            first.check_index(i)
+            second.check_index(j)
             row = {}
             for k, c in entry.items():
                 self.check_index(k)
@@ -94,56 +108,52 @@ class BimodulePresentation(BasisSpace):
                 best = n
         return best
 
+    @cached_property
+    def integer_tables(self):
+        """The algebra's and both action tables in integer form (IntegerTables),
+        built on first use."""
+        return IntegerTables(self.mode, self.algebra.mul, self.left, self.right,
+                             self.algebra.dim)
+
     def left_index(self, i, vec):
         """b_i acting on a sparse module vector."""
-        out = {}
-        for j, c in vec.items():
-            row = self.left.get((i, j))
-            if row:
-                linalg.vec_add_scaled(out, row, c)
-        return out
+        return self._apply(self.integer_tables.left[i], vec)
 
     def right_index(self, vec, i):
-        out = {}
-        for j, c in vec.items():
-            row = self.right.get((j, i))
-            if row:
-                linalg.vec_add_scaled(out, row, c)
-        return out
+        """A sparse module vector times b_i."""
+        return self._apply(self.integer_tables.right[i], vec)
+
+    def _apply(self, rows, vec):
+        """One index's rows of integer_tables applied to vec, in ints."""
+        scale, (v,) = scalars.clear_denominators(self.mode, [vec])
+        return self._unscaled(_act(rows, v), self.integer_tables.scale * scale)
+
+    def _unscaled(self, vec, scale):
+        return {k: scalars.unscale(self.mode, c, scale) for k, c in vec.items()}
 
     def _check_module_laws(self):
-        """The three module laws on basis triples, on the algebra's and both
-        action tables with one common denominator cleared
-        (scalars.clear_denominators): every side then carries the factor D^2."""
+        """The three module laws on basis triples, in the integer form of the
+        tables (integer_tables): every side carries the factor D^2."""
         alg = self.algebra
-        mul, left, right = scalars.clear_denominators(self.mode, alg.mul, self.left,
-                                                      self.right)
-
-        def on_left(i, vec):
-            return linalg.vec_combination((c, left.get((i, j))) for j, c in vec.items())
-
-        def on_right(vec, i):
-            return linalg.vec_combination((c, right.get((j, i))) for j, c in vec.items())
-
+        ints = self.integer_tables
+        left, right = ints.left, ints.right
         for i in range(alg.dim):
             for j in range(alg.dim):
-                prod = mul.get((i, j), {})
+                prod = ints.mul.get((i, j), {})
                 for k in range(self.dim):
                     ek = {k: 1}
-                    lhs = linalg.vec_combination(
-                        (c, left.get((m, k))) for m, c in prod.items())
-                    if not self._agree(lhs, on_left(i, on_left(j, ek))):
+                    lhs = linalg.vec_combination((c, left[m].get(k)) for m, c in prod.items())
+                    if not self._agree(lhs, _act(left[i], _act(left[j], ek))):
                         raise PresentationError(
                             f"left module law fails at ({alg.labels[i]}, "
                             f"{alg.labels[j]}, {self.labels[k]})")
-                    lhs = linalg.vec_combination(
-                        (c, right.get((k, m))) for m, c in prod.items())
-                    if not self._agree(lhs, on_right(on_right(ek, i), j)):
+                    lhs = linalg.vec_combination((c, right[m].get(k)) for m, c in prod.items())
+                    if not self._agree(lhs, _act(right[j], _act(right[i], ek))):
                         raise PresentationError(
                             f"right module law fails at ({self.labels[k]}, "
                             f"{alg.labels[i]}, {alg.labels[j]})")
-                    if not self._agree(on_right(on_left(i, ek), j),
-                                       on_left(i, on_right(ek, j))):
+                    if not self._agree(_act(right[j], _act(left[i], ek)),
+                                       _act(left[i], _act(right[j], ek))):
                         raise PresentationError(
                             f"mixed module law fails at ({alg.labels[i]}, "
                             f"{self.labels[k]}, {alg.labels[j]})")
@@ -214,6 +224,47 @@ class BimodulePresentation(BasisSpace):
         return f"<BimodulePresentation {tag}>"
 
 
+class IntegerTables:
+    """A bimodule's structure and action tables with one common denominator cleared.
+
+    Every entry is scale times the true constant (scalars.clear_denominators):
+    an int in rational mode, where scale is the lcm D of the algebra's and
+    both actions' denominators, and the float itself in float mode, where
+    scale is 1.  mul maps (i, j) to the row of b_i b_j.  left[i] and right[i]
+    map each module index j with a nonzero action, in increasing order, to
+    the row of b_i x_j and of x_j b_i.  Equal rows are stored once (a group
+    algebra's tables hold one row per group element), so rows are read-only.
+    """
+
+    __slots__ = ("scale", "mul", "left", "right")
+
+    def __init__(self, mode, mul, left, right, dim):
+        self.scale, mul, left, right = scalars.clear_denominators(mode, mul, left, right)
+        rows = {}
+
+        def shared(row):
+            return rows.setdefault(tuple(row.items()), row)
+
+        self.mul = {key: shared(row) for key, row in mul.items()}
+        self.left = [{} for _ in range(dim)]
+        self.right = [{} for _ in range(dim)]
+        for (i, j), row in sorted(left.items()):
+            self.left[i][j] = shared(row)
+        for (j, i), row in sorted(right.items()):
+            self.right[i][j] = shared(row)
+
+
+def _act(rows, vec):
+    """sum of c * rows[j] over the entries c at j of vec; rows is one index's
+    action in IntegerTables, and the arithmetic is that of the operands."""
+    out = {}
+    for j, c in vec.items():
+        row = rows.get(j)
+        if row:
+            linalg.vec_add_scaled(out, row, c)
+    return out
+
+
 def regular_bimodule(algebra, name=None):
     return BimodulePresentation.regular(algebra, name)
 
@@ -263,13 +314,22 @@ def sandwich_action(x, t):
     if not isinstance(X, BimodulePresentation):
         raise AlgebraError("sandwich evaluation needs a bimodule element")
     e_idx = X.adjoined_identity_index(t.space)
+    ints = X.integer_tables
+    # every term carries ints.scale once per side; a side acting by e makes it up in c
+    x_scale, (xv,) = scalars.clear_denominators(X.mode, [x.coeffs])
+    t_scale, (tv,) = scalars.clear_denominators(X.mode, [t.coeffs])
     out = {}
-    for (i, j), c in t.coeffs.items():
-        vec = x.coeffs if i == e_idx else X.left_index(i, x.coeffs)
-        if j != e_idx:
-            vec = X.right_index(vec, j)
+    for (i, j), c in tv.items():
+        if i == e_idx:
+            vec, c = xv, c * ints.scale
+        else:
+            vec = _act(ints.left[i], xv)
+        if j == e_idx:
+            c *= ints.scale
+        else:
+            vec = _act(ints.right[j], vec)
         linalg.vec_add_scaled(out, vec, c)
-    return Element(X, out)
+    return Element(X, X._unscaled(out, ints.scale ** 2 * x_scale * t_scale))
 
 
 def image_action(T, t):
@@ -284,63 +344,70 @@ def image_action(T, t):
     if T.domain is not X.algebra:
         raise AlgebraError("map must be defined on the module's algebra")
     e_idx = X.adjoined_identity_index(t.space)
+    ints = X.integer_tables
+    images_scale, images = scalars.clear_denominators(X.mode, T.images)
+    t_scale, (tv,) = scalars.clear_denominators(X.mode, [t.coeffs])
     out = {}
-    for (i, j), c in t.coeffs.items():
+    for (i, j), c in tv.items():
         if j == e_idx:
             continue
-        img = T.images[j]
+        img = images[j]
         if not img:
             continue
-        vec = img if i == e_idx else X.left_index(i, img)
+        if i == e_idx:
+            vec, c = img, c * ints.scale
+        else:
+            vec = _act(ints.left[i], img)
         linalg.vec_add_scaled(out, vec, c)
-    return Element(X, out)
+    return Element(X, X._unscaled(out, ints.scale * images_scale * t_scale))
 
 
 # ---------------------------------------------------------------------------
 # identity defects and classification
 # ---------------------------------------------------------------------------
 
-def _identity_terms(algebra, kind):
+def _identity_terms(mul, d, kind):
     """The identity's terms on a map D, one list per basis pair (i, j).
 
-    A term (coefficient, q, op) stands for D(b_q) when op is None, for
-    b_i D(b_q) when op is ("L", i) and for D(b_q) b_j when op is ("R", j);
-    the identity holds at the pair when its terms sum to zero.  Jordan, Lie
-    and trace pairs run over i <= j or i < j: swapping i and j gives the same
-    terms up to sign.
+    mul is the d-dimensional domain's product table {(i, j): row}.  A term
+    (coefficient, q, op) stands for D(b_q) when op is None, for b_i D(b_q)
+    when op is ("L", i) and for D(b_q) b_j when op is ("R", j); the identity
+    holds at the pair when its terms sum to zero.  An action term's
+    coefficient is 1 or -1, so on IntegerTables, whose product and action
+    constants carry the same scale, the terms are the identity times that
+    scale.  Jordan, Lie and trace pairs run over i <= j or i < j: swapping i
+    and j gives the same terms up to sign.
     """
-    d = algebra.dim
-    one = algebra.scalar(1)
     if kind == "derivation":
         for i in range(d):
             for j in range(d):
-                terms = [(c, q, None) for q, c in algebra.product_indices(i, j).items()]
-                yield terms + [(-one, i, ("R", j)), (-one, j, ("L", i))]
+                terms = [(c, q, None) for q, c in mul.get((i, j), _EMPTY).items()]
+                yield terms + [(-1, i, ("R", j)), (-1, j, ("L", i))]
     elif kind == "jordan":
         for i in range(d):
             for j in range(i, d):
-                acc = dict(algebra.product_indices(i, j))
-                linalg.vec_add_scaled(acc, algebra.product_indices(j, i), 1)
+                acc = dict(mul.get((i, j), _EMPTY))
+                linalg.vec_add_scaled(acc, mul.get((j, i), _EMPTY), 1)
                 terms = [(c, q, None) for q, c in acc.items()]
-                yield terms + [(-one, i, ("R", j)), (-one, j, ("L", i)),
-                               (-one, j, ("R", i)), (-one, i, ("L", j))]
+                yield terms + [(-1, i, ("R", j)), (-1, j, ("L", i)),
+                               (-1, j, ("R", i)), (-1, i, ("L", j))]
     elif kind == "lie":
         for i in range(d):
             for j in range(i + 1, d):
-                acc = dict(algebra.product_indices(i, j))
-                linalg.vec_add_scaled(acc, algebra.product_indices(j, i), -1)
+                acc = dict(mul.get((i, j), _EMPTY))
+                linalg.vec_add_scaled(acc, mul.get((j, i), _EMPTY), -1)
                 terms = [(c, q, None) for q, c in acc.items()]
-                yield terms + [(-one, i, ("R", j)), (-one, j, ("L", i)),
-                               (one, j, ("R", i)), (one, i, ("L", j))]
+                yield terms + [(-1, i, ("R", j)), (-1, j, ("L", i)),
+                               (1, j, ("R", i)), (1, i, ("L", j))]
     elif kind == "central":
         for i in range(d):
             for j in range(d):
-                yield [(one, j, ("L", i)), (-one, j, ("R", i))]
+                yield [(1, j, ("L", i)), (-1, j, ("R", i))]
     elif kind == "trace":
         for i in range(d):
             for j in range(i + 1, d):
-                acc = dict(algebra.product_indices(i, j))
-                linalg.vec_add_scaled(acc, algebra.product_indices(j, i), -1)
+                acc = dict(mul.get((i, j), _EMPTY))
+                linalg.vec_add_scaled(acc, mul.get((j, i), _EMPTY), -1)
                 yield [(c, q, None) for q, c in acc.items()]
     else:
         raise ValueError(f"unknown identity kind {kind!r}")
@@ -351,26 +418,37 @@ def _identity_defect(D, kind):
 
     D's domain is the module's algebra or its unitization, whose adjoined
     unit acts as the identity; the trace identity has no action terms and
-    accepts any domain and codomain.
+    accepts any domain and codomain.  The residuals and their norms are
+    computed in ints, on integer tables, D's images and the codomain's
+    weights with their denominators cleared, and divided out once at the end.
     """
-    X = D.codomain
-    e_idx = None if kind == "trace" else X.adjoined_identity_index(D.domain)
-    w = X.weights
-    worst = X.scalar(0)
-    for terms in _identity_terms(D.domain, kind):
+    X, dom = D.codomain, D.domain
+    e_idx = None
+    if kind == "trace":
+        ints = IntegerTables(X.mode, dom.mul, {}, {}, 0)
+    else:
+        e_idx = X.adjoined_identity_index(dom)
+        ints = (X.integer_tables if e_idx is None
+                else IntegerTables(X.mode, dom.mul, X.left, X.right, X.algebra.dim))
+    images_scale, images = scalars.clear_denominators(X.mode, D.images)
+    weights_scale, (w,) = scalars.clear_denominators(X.mode, [dict(enumerate(X.weights))])
+    worst = 0
+    for terms in _identity_terms(ints.mul, dom.dim, kind):
         residual = {}
         for alpha, q, op in terms:
-            vec = D.images[q]
+            vec = images[q]
             if not vec:
                 continue
-            if op is not None and op[1] != e_idx:
-                vec = (X.left_index(op[1], vec) if op[0] == "L"
-                       else X.right_index(vec, op[1]))
+            if op is not None:
+                if op[1] == e_idx:
+                    alpha *= ints.scale
+                else:
+                    vec = _act((ints.left if op[0] == "L" else ints.right)[op[1]], vec)
             linalg.vec_add_scaled(residual, vec, alpha)
         n = sum(abs(c) * w[k] for k, c in residual.items())
         if n > worst:
             worst = n
-    return worst
+    return scalars.unscale(X.mode, worst, ints.scale * images_scale * weights_scale)
 
 
 def derivation_defect(D):
@@ -411,21 +489,23 @@ def inner_derivation(X, x):
 
 
 def _identity_rows(algebra, X, kind):
-    """Linear equations on the flattened map matrix imposed by the identity."""
+    """Linear equations on the flattened map matrix imposed by the identity.
+
+    The rows are built on X.integer_tables, so in rational mode they are in
+    ints: the equations times the tables' scale.  Action terms walk only the
+    nonzero entries of their index.
+    """
     m = X.dim
+    ints = X.integer_tables
     rows = []
-    for terms in _identity_terms(algebra, kind):
+    for terms in _identity_terms(ints.mul, algebra.dim, kind):
         per_coord = {}
         for alpha, q, op in terms:
-            for k in range(m):
-                if op is None:
-                    vec = {k: algebra.scalar(1)}
-                elif op[0] == "L":
-                    vec = X.left.get((op[1], k), {})
-                else:
-                    vec = X.right.get((k, op[1]), {})
-                if not vec:
-                    continue
+            if op is None:
+                entries = ((k, {k: 1}) for k in range(m))
+            else:
+                entries = (ints.left if op[0] == "L" else ints.right)[op[1]].items()
+            for k, vec in entries:
                 col = q * m + k
                 for l, c in vec.items():
                     row = per_coord.setdefault(l, {})

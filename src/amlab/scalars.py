@@ -38,21 +38,34 @@ def check_tol(tol):
 
 
 def clear_denominators(mode, *tables):
-    """The sparse tables {key: {index: scalar}} with one common denominator cleared.
+    """(D, *cleared): the tables with one common denominator D cleared.
 
-    In rational mode every entry is multiplied by the lcm D of all the
-    tables' denominators, which turns it into an int: a product of n scaled
-    entries is D^n times the true product, so two sums of such products of
-    equal length agree in ints exactly when they agree over the rationals.
-    In float mode the tables come back unchanged.
+    A table is a dict {key: {index: scalar}} or a list of such rows.  In
+    rational mode every entry is multiplied by the lcm D of all the tables'
+    denominators, which turns it into an int: a product of n scaled entries
+    is D^n times the true product, so two sums of such products of equal
+    length agree in ints exactly when they agree over the rationals.  In
+    float mode D is 1 and the tables come back unchanged.
     """
     if mode != RATIONAL:
-        return tables
-    scale = math.lcm(*{c.denominator for table in tables
-                       for row in table.values() for c in row.values()})
-    return tuple({key: {k: c.numerator * (scale // c.denominator) for k, c in row.items()}
-                  for key, row in table.items()}
-                 for table in tables)
+        return (1, *tables)
+    rows = [row for table in tables
+            for row in (table.values() if isinstance(table, dict) else table)]
+    scale = math.lcm(*{c.denominator for row in rows for c in row.values()})
+
+    def cleared(row):
+        return {k: c.numerator * (scale // c.denominator) for k, c in row.items()}
+
+    return (scale, *({key: cleared(row) for key, row in table.items()}
+                     if isinstance(table, dict) else [cleared(row) for row in table]
+                     for table in tables))
+
+
+def unscale(mode, x, scale):
+    """x / scale as the mode's scalar; undoes clear_denominators on one value."""
+    if mode != RATIONAL:
+        return x / scale
+    return Fraction(x, scale)
 
 
 def coerce(value, mode):

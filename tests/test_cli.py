@@ -94,6 +94,19 @@ def test_non_string_bimodule_label_exits_2(tmp_path, m2_file, capsys):
     assert "basis labels must be strings" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", [["a", 0, 0, "1"],   # non-integer algebra index
+                                   [4, 0, 0, "1"],     # algebra index out of range
+                                   [0, 0, 4, "1"]],    # image index out of range
+                         ids=["string", "pair-out-of-range", "image-out-of-range"])
+def test_bad_action_index_exits_2(tmp_path, m2_file, entry, capsys):
+    X = serialize.bimodule_to_dict(regular_bimodule(matrix_algebra(2)))
+    X["left"] = [entry]
+    path = write(tmp_path / "X.json", X)
+    assert main(["classify", "derivation", m2_file, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: basis index") and "Traceback" not in err
+
+
 def test_build_matrix_diagonal(tmp_path, capsys):
     out = tmp_path / "t.json"
     alg_out = tmp_path / "alg.json"

@@ -567,13 +567,61 @@ def rand_map(rng, domain, X):
     return LinearMap(domain, X, images)
 
 
+M3_SCALE = [Fraction(1, 3), Fraction(7, 2), 1, Fraction(7, 2), Fraction(1, 3),
+            Fraction(5, 6), 3, 1, Fraction(2, 7)]
+
+
+def rescaled_m3(mode):
+    """M3 on the basis s_i E_i: structure constants s_i s_j / s_k."""
+    A = matrix_algebra(3)
+    s = M3_SCALE
+    mul = {(i, j): {k: c * s[i] * s[j] / s[k] for k, c in row.items()}
+           for (i, j), row in A.mul.items()}
+    return AlgebraPresentation(A.labels, mul, mode=mode, name="M3 rescaled")
+
+
+def module_on_new_basis(A, exact):
+    """A's regular bimodule on the module basis y_k = r_k b_k + b_{k+1}, with
+    non-unit weights; exact is A in rational mode.  The action rows have
+    several entries, and the tables are given in decreasing key order."""
+    d = A.dim
+    r = [Fraction(x) for x in ("2/5", 3, "1/4", 1, "9/2", "1/7", 2, 5, "3/8")]
+    b_in_y = [None] * d     # b_k = (y_k - b_{k+1}) / r_k, from the last index down
+    for k in reversed(range(d)):
+        b_in_y[k] = {k: 1 / r[k]}
+        if k + 1 < d:
+            linalg.vec_add_scaled(b_in_y[k], b_in_y[k + 1], -1 / r[k])
+
+    def y_image(j, product):  # product(l) for b_l, applied to y_j and written in the y's
+        in_b = linalg.vec_combination([(r[j], product(j))]
+                                      + ([(1, product(j + 1))] if j + 1 < d else []))
+        return linalg.vec_combination((c, b_in_y[n]) for n, c in in_b.items())
+
+    left, right = {}, {}
+    for i in reversed(range(d)):
+        for j in reversed(range(d)):
+            left[(i, j)] = y_image(j, lambda l: exact.product_indices(i, l))
+            right[(j, i)] = y_image(j, lambda l: exact.product_indices(l, i))
+    weights = [Fraction(k + 2, 3) for k in range(d)]
+    return BimodulePresentation(A, [f"y{k}" for k in range(d)], left, right, weights)
+
+
 def gate_cases(mode):
     s3 = group_algebra(*symmetric_group_table(3), mode=mode)
     t3 = upper_triangular_algebra(3, mode=mode)
+    r3 = rescaled_m3(mode)
+    module = module_on_new_basis(r3, rescaled_m3("rational"))
+    # the quotient of module + module by its diagonal copy is validated on construction
+    pair = direct_sum_bimodule([module, module])
+    quotient, _ = quotient_bimodule(pair, [pair.element({k: 1, r3.dim + k: 1})
+                                           for k in range(r3.dim)])
     return [regular_bimodule(matrix_algebra(3, mode=mode)),
             regular_bimodule(t3),
             regular_bimodule(s3),
-            direct_sum_bimodule([regular_bimodule(t3), regular_bimodule(t3)])]
+            direct_sum_bimodule([regular_bimodule(t3), regular_bimodule(t3)]),
+            regular_bimodule(r3),
+            module,
+            quotient]
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
@@ -619,6 +667,21 @@ def test_defect_is_zero_exactly_when_the_classified_rows_vanish():
             assert outcomes == {True, False}
 
 
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_defect_gates_match_the_reference_on_the_unitization(mode):
+    rng = random.Random(41)
+    for X in gate_cases(mode):
+        sharp = unitize(X.algebra)
+        D = rand_map(rng, sharp, X)
+        for defect in REFERENCE_RESIDUALS:
+            got, want = defect(D), reference_defect(defect, D)
+            assert want > 0
+            if mode == "rational":
+                assert got == want
+            else:
+                assert abs(got - want) <= X.tol
+
+
 def test_defect_gates_on_the_unitization_domain(m2, x2):
     sharp = unitize(m2)
     e_idx = sharp.meta["adjoined_index"]
@@ -647,6 +710,133 @@ def test_defect_gates_reject_an_unrelated_domain(x2):
 def test_trace_defect_accepts_any_codomain(m2):
     D = LinearMap.identity(m2)
     assert trace_defect(D) == reference_defect(trace_defect, D) == 2
+
+
+# -- the integer actions and rows against their Fraction versions --------------------------
+
+# The actions and the identity rows as they were before the integer tables: Fraction
+# (or float) arithmetic straight on X.left and X.right, every module index probed.
+
+def ref_left_index(X, i, vec):
+    out = {}
+    for j, c in vec.items():
+        row = X.left.get((i, j))
+        if row:
+            linalg.vec_add_scaled(out, row, c)
+    return out
+
+
+def ref_right_index(X, vec, i):
+    out = {}
+    for j, c in vec.items():
+        row = X.right.get((j, i))
+        if row:
+            linalg.vec_add_scaled(out, row, c)
+    return out
+
+
+def ref_sandwich_action(x, t):
+    X = x.space
+    e_idx = X.adjoined_identity_index(t.space)
+    out = {}
+    for (i, j), c in t.coeffs.items():
+        vec = x.coeffs if i == e_idx else ref_left_index(X, i, x.coeffs)
+        if j != e_idx:
+            vec = ref_right_index(X, vec, j)
+        linalg.vec_add_scaled(out, vec, c)
+    return out
+
+
+def ref_image_action(T, t):
+    X = T.codomain
+    e_idx = X.adjoined_identity_index(t.space)
+    out = {}
+    for (i, j), c in t.coeffs.items():
+        if j == e_idx or not T.images[j]:
+            continue
+        img = T.images[j]
+        linalg.vec_add_scaled(out, img if i == e_idx else ref_left_index(X, i, img), c)
+    return out
+
+
+def ref_identity_rows(algebra, X, kind):
+    m = X.dim
+    rows = []
+    for terms in derivations._identity_terms(algebra.mul, algebra.dim, kind):
+        per_coord = {}
+        for alpha, q, op in terms:
+            for k in range(m):
+                if op is None:
+                    vec = {k: algebra.scalar(1)}
+                elif op[0] == "L":
+                    vec = X.left.get((op[1], k), {})
+                else:
+                    vec = X.right.get((k, op[1]), {})
+                col = q * m + k
+                for l, c in vec.items():
+                    row = per_coord.setdefault(l, {})
+                    v = row.get(col, 0) + alpha * c
+                    if v == 0:
+                        row.pop(col, None)
+                    else:
+                        row[col] = v
+        rows.extend(r for r in per_coord.values() if r)
+    return rows
+
+
+def rand_scalar_tensor(rng, carrier, nterms=12):
+    return Tensor2(carrier, {(rng.randrange(carrier.dim), rng.randrange(carrier.dim)):
+                             carrier.scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
+                             for _ in range(nterms)})
+
+
+def same_vector(got, want, mode):
+    """Equal values in the same key order, as Fractions in rational mode."""
+    assert list(got.items()) == list(want.items())
+    assert all(type(c) is (Fraction if mode == "rational" else float) for c in got.values())
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_actions_match_the_fraction_reference(mode):
+    rng = random.Random(43)
+    for X in gate_cases(mode):
+        A = X.algebra
+        sharp = unitize(A)
+        for _ in range(3):
+            x = X.element({k: Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                           for k in range(X.dim)})
+            T = rand_map(rng, A, X)
+            for i in range(A.dim):
+                same_vector(X.left_index(i, x.coeffs), ref_left_index(X, i, x.coeffs), mode)
+                same_vector(X.right_index(x.coeffs, i), ref_right_index(X, x.coeffs, i), mode)
+            for carrier in (A, sharp):
+                t = rand_scalar_tensor(rng, carrier)
+                if carrier is sharp:
+                    e = sharp.meta["adjoined_index"]
+                    t = t + Tensor2(sharp, {(e, 0): sharp.scalar(Fraction(3, 2)),
+                                            (1, e): sharp.scalar(Fraction(-2, 3)),
+                                            (e, e): sharp.scalar(Fraction(5, 4))})
+                same_vector(sandwich_action(x, t).coeffs, ref_sandwich_action(x, t), mode)
+                same_vector(image_action(T, t).coeffs, ref_image_action(T, t), mode)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_identity_rows_match_the_fraction_reference(mode):
+    for X in gate_cases(mode):
+        A = X.algebra
+        factors = set()
+        for kind in IDENTITY_KINDS.values():
+            got, want = derivations._identity_rows(A, X, kind), ref_identity_rows(A, X, kind)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert list(g) == list(w)
+                factors.update(Fraction(g[col]) / Fraction(w[col]) for col in g)
+                if mode == "rational":
+                    assert all(type(c) is int for c in g.values())
+                else:
+                    assert g == w
+        # one positive factor for every row of every identity over X
+        assert len(factors) == 1 and factors.pop() > 0
 
 
 # -- float mode ---------------------------------------------------------------------------

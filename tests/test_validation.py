@@ -152,10 +152,12 @@ def test_every_triple_with_a_nonzero_side_is_visited_once(algebra, monkeypatch):
 def test_clear_denominators_scales_every_table_by_one_lcm():
     a = {(0, 0): {0: Fraction(1, 2), 1: Fraction(3)}}
     b = {(0, 1): {1: Fraction(-5, 3)}}
-    ca, cb = clear_denominators(RATIONAL, a, b)
+    scale, ca, cb = clear_denominators(RATIONAL, a, b)
+    assert scale == 6
     assert ca == {(0, 0): {0: 3, 1: 18}} and cb == {(0, 1): {1: -10}}
     assert all(type(c) is int for t in (ca, cb) for row in t.values() for c in row.values())
-    assert clear_denominators(FLOAT, a, b) == (a, b)
+    assert clear_denominators(RATIONAL, [a[(0, 0)]], b) == (6, [{0: 3, 1: 18}], cb)
+    assert clear_denominators(FLOAT, a, b) == (1, a, b)
 
 
 @pytest.mark.parametrize("tol", [-1, math.nan, math.inf, -math.inf])
