@@ -26,7 +26,12 @@ class PresentationError(AlgebraError):
 
 
 class BasisSpace:
-    """A labeled, weighted basis with a scalar mode; base for algebras and bimodules."""
+    """A labeled, weighted basis with a scalar mode; base for algebras and bimodules.
+
+    eps is the one exact-vs-float rule: scalar(0) in rational mode and tol in
+    float mode.  A vector is zero when its weighted norm is <= eps, which in
+    rational mode (weights are positive) means literally zero.
+    """
 
     def __init__(self, labels, weights=None, mode=RATIONAL, tol=DEFAULT_FLOAT_TOL, name=None):
         scalars.check_mode(mode)
@@ -36,6 +41,7 @@ class BasisSpace:
         self.labels = labels
         self.mode = mode
         self.tol = scalars.check_tol(tol)
+        self.eps = self.scalar(0) if mode == RATIONAL else self.tol
         self.name = name
         if weights is None:
             weights = [1] * len(labels)
@@ -89,17 +95,13 @@ class BasisSpace:
         return Element(self, {})
 
     def is_zero_scalar(self, x):
-        if self.mode == RATIONAL:
-            return x == 0
-        return abs(x) <= self.tol
+        return abs(x) <= self.eps
 
     def _vec_small(self, vec):
-        if self.mode == RATIONAL:
-            return not vec
-        return sum(abs(c) * self.weights[k] for k, c in vec.items()) <= self.tol
+        return sum(abs(c) * self.weights[k] for k, c in vec.items()) <= self.eps
 
     def _agree(self, lhs, rhs):
-        """Equal up to tol in the weighted norm; exact equality in rational mode."""
+        """Equal up to eps in the weighted norm: exact equality in rational mode."""
         return lhs == rhs or self._vec_small(linalg.vec_sub(lhs, rhs))
 
 
@@ -193,11 +195,10 @@ class AlgebraPresentation(BasisSpace):
                 f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})")
 
     def _check_submultiplicativity(self):
-        slack = 0 if self.mode == RATIONAL else self.tol
         for (i, j), row in self.mul.items():
             bound = self.weights[i] * self.weights[j]
             total = sum(abs(c) * self.weights[k] for k, c in row.items())
-            if total > bound + slack:
+            if total > bound + self.eps:
                 self.submultiplicative = False
                 self.warnings.append(
                     f"submultiplicativity certificate fails at "
@@ -218,8 +219,7 @@ class AlgebraPresentation(BasisSpace):
 
     def is_commutative(self):
         for (i, j), row in self.mul.items():
-            diff = linalg.vec_sub(row, self.product_indices(j, i))
-            if diff and not self._vec_small(diff):
+            if not self._vec_small(linalg.vec_sub(row, self.product_indices(j, i))):
                 return False
         return True
 
@@ -269,9 +269,7 @@ class Element:
         return sum(abs(c) * w[i] for i, c in self.coeffs.items())
 
     def is_zero(self):
-        if self.space.mode == RATIONAL:
-            return not self.coeffs
-        return self.norm() <= self.space.tol
+        return self.norm() <= self.space.eps
 
     def __add__(self, other):
         same_space(self, other)
@@ -386,36 +384,26 @@ def opposite(algebra):
 
 
 def center(algebra):
-    """Basis of {x : x b_i == b_i x for every basis element}, by exact elimination."""
-    d = algebra.dim
-    eps = 0 if algebra.mode == RATIONAL else algebra.tol
-    rows = []
-    for i in range(d):
-        per_coord = {}
-        for k in range(d):
-            for m, c in algebra.product_indices(k, i).items():
-                row = per_coord.setdefault(m, {})
-                row[k] = row.get(k, 0) + c
-            for m, c in algebra.product_indices(i, k).items():
-                row = per_coord.setdefault(m, {})
-                v = row.get(k, 0) - c
-                if v == 0:
-                    row.pop(k, None)
-                else:
-                    row[k] = v
-        rows.extend(r for r in per_coord.values() if r)
-    basis = linalg.nullspace(rows, d, eps)
-    return [Element(algebra, {i: algebra.scalar(c) for i, c in v.items()}) for v in basis]
+    """Basis of {x : x b_i == b_i x for every basis element}: the center of
+    the algebra as a bimodule over itself."""
+    from .derivations import regular_bimodule
+    return [Element(algebra, z.coeffs) for z in regular_bimodule(algebra).center()]
 
 
-def commutator_subspace(algebra):
-    """Basis of span{b_p b_q - b_q b_p}, by exact elimination."""
-    eps = 0 if algebra.mode == RATIONAL else algebra.tol
-    sp = linalg.Span(eps)
+def basis_commutators(algebra):
+    """(p, q, [b_p, b_q]) for p < q, as sparse vectors, skipping zero commutators."""
     for p in range(algebra.dim):
         for q in range(p + 1, algebra.dim):
             v = dict(algebra.product_indices(p, q))
             linalg.vec_add_scaled(v, algebra.product_indices(q, p), -1)
-            sp.add(v)
+            if v:
+                yield p, q, v
+
+
+def commutator_subspace(algebra):
+    """Basis of span{b_p b_q - b_q b_p}, by exact elimination."""
+    sp = linalg.Span(algebra.eps)
+    for _, _, v in basis_commutators(algebra):
+        sp.add(v)
     return [Element(algebra, {i: algebra.scalar(c) for i, c in sorted(v.items())})
             for v in sp.rows]

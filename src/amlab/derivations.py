@@ -39,7 +39,6 @@ from .algebra import (AlgebraError, AlgebraPresentation, BasisSpace, Element,
                       PresentationError, multiply)
 from .diagonals import defects
 from .maps import LinearMap, map_from_flat
-from .scalars import RATIONAL
 from .tensor import contract
 
 MAP_KINDS = ("derivation", "jordan", "lie", "central_trace")
@@ -196,7 +195,6 @@ class BimodulePresentation(BasisSpace):
 
     def center(self):
         """Basis of {x : b_i x == x b_i for every algebra basis element}."""
-        eps = 0 if self.mode == RATIONAL else self.tol
         rows = []
         for i in range(self.algebra.dim):
             per_coord = {}
@@ -207,7 +205,7 @@ class BimodulePresentation(BasisSpace):
                     per_coord.setdefault(k, {})[j] = c
             rows.extend(per_coord.values())
         return [Element(self, {k: self.scalar(c) for k, c in v.items()})
-                for v in linalg.nullspace(rows, self.dim, eps)]
+                for v in linalg.nullspace(rows, self.dim, self.eps)]
 
     def is_symmetric_bimodule(self):
         """True when every action commutes: b_i x_j == x_j b_i on basis pairs."""
@@ -526,14 +524,13 @@ def classify_maps(algebra, X, kind):
     """
     if X.algebra is not algebra:
         raise AlgebraError("module is not over the given algebra")
-    eps = 0 if algebra.mode == RATIONAL else algebra.tol
     if kind == "central_trace":
         rows = _identity_rows(algebra, X, "central") + _identity_rows(algebra, X, "trace")
     elif kind in ("derivation", "jordan", "lie"):
         rows = _identity_rows(algebra, X, kind)
     else:
         raise ValueError(f"unknown map kind {kind!r}; expected one of {MAP_KINDS}")
-    basis = linalg.nullspace(rows, algebra.dim * X.dim, eps)
+    basis = linalg.nullspace(rows, algebra.dim * X.dim, algebra.eps)
     return [map_from_flat(algebra, X, v) for v in basis]
 
 
@@ -542,10 +539,9 @@ def central_derivation_space(algebra, X, diagonal=None):
     diagonal is supplied (any nonzero solution would falsify the library)."""
     if X.algebra is not algebra:
         raise AlgebraError("module is not over the given algebra")
-    eps = 0 if algebra.mode == RATIONAL else algebra.tol
     rows = _identity_rows(algebra, X, "derivation") + _identity_rows(algebra, X, "central")
     basis = [map_from_flat(algebra, X, v)
-             for v in linalg.nullspace(rows, algebra.dim * X.dim, eps)]
+             for v in linalg.nullspace(rows, algebra.dim * X.dim, algebra.eps)]
     checked = False
     if diagonal is not None:
         ts, quality = _prepare_diagonal(X, diagonal)
@@ -587,6 +583,10 @@ class DiagonalQuality:
         return self.max_defect == 0 and self.symmetry_defect == 0
 
 
+def _tolerance(X, tolerance):
+    return tolerance if tolerance is not None else X.eps
+
+
 def _prepare_diagonal(X, t, tolerance=None):
     """Lift t to the unitization if needed and measure its defects there.
 
@@ -602,9 +602,6 @@ def _prepare_diagonal(X, t, tolerance=None):
     else:
         X.adjoined_identity_index(t.space)  # raises when unrelated
         ts = t
-    tol = tolerance
-    if tol is None:
-        tol = algebra.scalar(0) if algebra.mode == RATIONAL else algebra.tol
     if "diag_worst" not in ts._cache:
         worst = algebra.scalar(0)
         for a in ts.space.basis_elements():
@@ -614,7 +611,7 @@ def _prepare_diagonal(X, t, tolerance=None):
         ts._cache["diag_worst"] = worst
     quality = DiagonalQuality(max_defect=ts._cache["diag_worst"],
                               symmetry_defect=ts.symmetry_defect(),
-                              tolerance=tol)
+                              tolerance=_tolerance(X, tolerance))
     return ts, quality
 
 
@@ -627,12 +624,6 @@ def _require_diagonal(X, t, tolerance):
     if quality.symmetry_defect > quality.tolerance:
         raise AlgebraError("tensor is not symmetric within tolerance")
     return ts, quality
-
-
-def _map_tolerance(X, tolerance):
-    if tolerance is not None:
-        return tolerance
-    return X.scalar(0) if X.mode == RATIONAL else X.tol
 
 
 def _sandwich_map(D, ts):
@@ -687,7 +678,7 @@ def jordan_decompose(D, t, tolerance=None):
     X = D.codomain
     if not isinstance(X, BimodulePresentation):
         raise AlgebraError("decomposition needs a map into a bimodule")
-    map_tol = _map_tolerance(X, tolerance)
+    map_tol = _tolerance(X, tolerance)
     jd = jordan_defect(D)
     if jd > map_tol:
         raise AlgebraError(f"map is not a Jordan derivation (defect {jd})")
@@ -752,7 +743,7 @@ def central_jordan_decompose(D, t, tolerance=None):
     a derivation outright, and on a symmetric bimodule it forces D = 0.
     """
     X = D.codomain
-    map_tol = _map_tolerance(X, tolerance)
+    map_tol = _tolerance(X, tolerance)
     jd = jordan_defect(D)
     if jd > map_tol:
         raise AlgebraError(f"map is not a Jordan derivation (defect {jd})")
@@ -815,7 +806,7 @@ def lie_decompose(D, t, tolerance=None, submodule=None):
     X = D.codomain
     if not isinstance(X, BimodulePresentation):
         raise AlgebraError("decomposition needs a map into a bimodule")
-    map_tol = _map_tolerance(X, tolerance)
+    map_tol = _tolerance(X, tolerance)
     ld = lie_defect(D)
     if ld > map_tol:
         raise AlgebraError(f"map is not a Lie derivation (defect {ld})")
@@ -857,9 +848,8 @@ def lie_decompose(D, t, tolerance=None, submodule=None):
 
 
 def _submodule_report(X, d_map, tau, span_vectors):
-    eps = 0 if X.mode == RATIONAL else X.tol
-    sp = linalg.span_basis([dict(v.coeffs) for v in span_vectors], eps)
-    center_span = linalg.span_basis([dict(v.coeffs) for v in X.center()], eps)
+    sp = linalg.span_basis([dict(v.coeffs) for v in span_vectors], X.eps)
+    center_span = linalg.span_basis([dict(v.coeffs) for v in X.center()], X.eps)
 
     def inside(m, span):
         return all(span.contains(img) for img in m.images)
@@ -883,8 +873,7 @@ def quotient_bimodule(X, span_vectors):
     coordinates outside the subspace's pivot set, with representative
     weights) together with the quotient map, a module morphism.
     """
-    eps = 0 if X.mode == RATIONAL else X.tol
-    sp = linalg.span_basis([dict(v.coeffs) for v in span_vectors], eps)
+    sp = linalg.span_basis([dict(v.coeffs) for v in span_vectors], X.eps)
     for v in span_vectors:
         if v.space is not X:
             raise AlgebraError("spanning vector is over a different bimodule")

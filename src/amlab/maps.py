@@ -2,7 +2,7 @@
 
 from . import linalg
 from .algebra import AlgebraError, Element, multiply
-from .scalars import RATIONAL, SchemaError
+from .scalars import SchemaError
 
 
 class LinearMap:
@@ -129,16 +129,13 @@ def hom_defect(theta):
 
 
 def is_surjective(theta):
-    eps = 0 if theta.codomain.mode == RATIONAL else theta.codomain.tol
-    return linalg.rank(theta.images, eps) == theta.codomain.dim
+    return linalg.rank(theta.images, theta.codomain.eps) == theta.codomain.dim
 
 
 def check_epimorphism(theta, tol=None):
     """Raise unless theta is a multiplicative surjection (within tol in float mode)."""
     from .algebra import PresentationError
-    slack = tol
-    if slack is None:
-        slack = 0 if theta.codomain.mode == RATIONAL else theta.codomain.tol
+    slack = tol if tol is not None else theta.codomain.eps
     d = hom_defect(theta)
     if d > slack:
         raise PresentationError(f"map is not multiplicative on basis pairs (defect {d})")

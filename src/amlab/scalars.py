@@ -4,6 +4,11 @@ Every computation in the library runs either over exact rationals
 (`fractions.Fraction`, the default) or over floats with an explicit
 tolerance.  Rationals serialize as "p/q" strings so that JSON round-trips
 are lossless.
+
+This module and `BasisSpace.eps` own the mode decision.  Here coerce,
+clear_denominators and unscale take the mode; everywhere else a space's
+eps (scalar(0) in rational mode, tol in float mode) is the only test, as
+"weighted norm <= eps" for zero and as the elimination threshold.
 """
 
 import math

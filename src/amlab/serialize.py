@@ -110,7 +110,7 @@ def element_from_dict(data, space):
                  "element coeffs must be [index, coeff] pairs")
         i, c = entry
         _require(isinstance(i, int), "element indices must be integers")
-        coeffs[i] = coeffs.get(i, 0) + scalars.coerce(c, space.mode)
+        coeffs[i] = coeffs.get(i, 0) + space.scalar(c)
     return space.element(coeffs)
 
 
@@ -169,7 +169,7 @@ def net_from_dict(data, space):
     for k, item in enumerate(_as_list(data, "test_set")):
         test_set.append(element_from_dict(item, space))
         labels.append(str(item.get("label", f"a{k}")))
-    tolerance = scalars.coerce(data.get("tolerance", 0), space.mode)
+    tolerance = space.scalar(data.get("tolerance", 0))
     return DiagonalNet(entries, test_set, tolerance, labels)
 
 
@@ -183,7 +183,7 @@ def functional_to_dict(f):
 def functional_from_dict(data, space):
     values = _as_list(data, "values")
     _require(len(values) == space.dim, "functional needs one value per basis element")
-    return Functional(space, [scalars.coerce(v, space.mode) for v in values])
+    return Functional(space, [space.scalar(v) for v in values])
 
 
 def feasibility_to_dict(result):
@@ -228,14 +228,14 @@ def bimodule_from_dict(data, algebra):
                  "left action entries must be [a, x, y, coeff]")
         i, j, k, c = entry
         row = left.setdefault((i, j), {})
-        row[k] = row.get(k, 0) + scalars.coerce(c, algebra.mode)
+        row[k] = row.get(k, 0) + algebra.scalar(c)
     right = {}
     for entry in _as_list(data, "right"):
         _require(isinstance(entry, list) and len(entry) == 4,
                  "right action entries must be [x, a, y, coeff]")
         j, i, k, c = entry
         row = right.setdefault((j, i), {})
-        row[k] = row.get(k, 0) + scalars.coerce(c, algebra.mode)
+        row[k] = row.get(k, 0) + algebra.scalar(c)
     return BimodulePresentation(algebra, basis, left, right, weights,
                                 name=data.get("name"))
 
@@ -253,8 +253,7 @@ def linear_map_from_dict(data, domain, codomain):
     for row in rows:
         _require(isinstance(row, list) and len(row) == codomain.dim,
                  "matrix rows must be dense over the codomain basis")
-        images.append({k: scalars.coerce(c, codomain.mode)
-                       for k, c in enumerate(row)})
+        images.append({k: codomain.scalar(c) for k, c in enumerate(row)})
     return LinearMap(domain, codomain, images)
 
 

@@ -18,7 +18,6 @@ Leg conventions (a an algebra element, t a tensor):
 
 from . import linalg
 from .algebra import AlgebraError, AlgebraPresentation, Element, same_space
-from .scalars import RATIONAL
 
 
 class Tensor2:
@@ -34,7 +33,8 @@ class Tensor2:
         if not isinstance(space, AlgebraPresentation):
             raise AlgebraError("tensors require an algebra presentation")
         self.space = space
-        self.coeffs = {key: c for key, c in coeffs.items() if c != 0}
+        coerced = zip(coeffs, map(space.scalar, coeffs.values()))
+        self.coeffs = {key: c for key, c in coerced if c != 0}
         self._cache = {}
 
     @classmethod
@@ -65,18 +65,14 @@ class Tensor2:
         return self._cache["proj_norm"]
 
     def is_zero(self):
-        if self.space.mode == RATIONAL:
-            return not self.coeffs
-        return self.proj_norm() <= self.space.tol
+        return self.proj_norm() <= self.space.eps
 
     def symmetry_defect(self):
         """Projective norm of t - flip(t); zero exactly when t is symmetric."""
         return (self - flip(self)).proj_norm()
 
     def is_symmetric(self):
-        if self.space.mode == RATIONAL:
-            return all(self.coeffs.get((j, i)) == c for (i, j), c in self.coeffs.items())
-        return self.symmetry_defect() <= self.space.tol
+        return self.symmetry_defect() <= self.space.eps
 
     def __add__(self, other):
         self._check(other)

@@ -11,8 +11,7 @@ exist.
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import AlgebraError, commutator
-from .scalars import RATIONAL
+from .algebra import AlgebraError, Element, basis_commutators
 from .tensor import contract_swapped, left_action
 
 
@@ -56,12 +55,10 @@ def commutator_values(f):
     """Largest |f([b_p, b_q])| over basis pairs."""
     space = f.space
     worst = space.scalar(0)
-    for p in range(space.dim):
-        bp = space.basis_element(p)
-        for q in range(p + 1, space.dim):
-            v = abs(f(commutator(bp, space.basis_element(q))))
-            if v > worst:
-                worst = v
+    for _, _, vec in basis_commutators(space):
+        v = abs(f(Element(space, vec)))
+        if v > worst:
+            worst = v
     return worst
 
 
@@ -115,22 +112,16 @@ def trace_feasibility(algebra, z):
         raise AlgebraError("element is not over the given presentation")
     if z.is_zero():
         raise AlgebraError("z must be nonzero")
-    eps = 0 if algebra.mode == RATIONAL else algebra.tol
-    pairs = []
-    generators = []
-    for p in range(algebra.dim):
-        bp = algebra.basis_element(p)
-        for q in range(p + 1, algebra.dim):
-            c = commutator(bp, algebra.basis_element(q))
-            if c.coeffs:
-                pairs.append((p, q))
-                generators.append(dict(c.coeffs))
+    eps = algebra.eps
+    commutators = list(basis_commutators(algebra))
+    generators = [vec for _, _, vec in commutators]
     sp = linalg.span_basis(generators, eps)
     target = dict(z.coeffs)
     coords = (linalg.coordinates_in_span(generators, target, eps)
               if sp.contains(target) else None)
     if coords is not None:
-        cert = [(p, q, algebra.scalar(c)) for (p, q), c in zip(pairs, coords) if c != 0]
+        cert = [(p, q, algebra.scalar(c)) for (p, q, _), c in zip(commutators, coords)
+                if c != 0]
         return FeasibilityResult("INFEASIBLE", certificate=cert, commutator_dim=sp.dim)
     rows = [dict(v) for v in sp.rows]
     rhs = [algebra.scalar(0)] * len(rows)

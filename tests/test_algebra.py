@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from amlab import (AlgebraError, AlgebraPresentation, PresentationError,
-                   center, commutator, commutator_subspace, matrix_algebra,
-                   multiply, norm, opposite, unitize, upper_triangular_algebra,
-                   cyclic_group_table, group_algebra)
+from amlab import (RATIONAL, AlgebraError, AlgebraPresentation, Element,
+                   PresentationError, abelian_product_table, center, commutator,
+                   commutator_subspace, direct_sum_algebra, linalg, matrix_algebra,
+                   multiply, norm, opposite, symmetric_group_table, unitize,
+                   upper_triangular_algebra, cyclic_group_table, group_algebra)
+from amlab.algebra import basis_commutators
 
 from oracles import dense_from_element, element_from_dense, mat_mul, sympy_nullity
 
@@ -197,7 +199,71 @@ def test_center_kernel_property(m3):
             assert commutator(z, x).is_zero()
 
 
+def ref_center(algebra):
+    """The algebra's own row builder that center() used before it became the
+    regular bimodule's center: rows of x b_i - b_i x, per coordinate."""
+    d = algebra.dim
+    eps = 0 if algebra.mode == RATIONAL else algebra.tol
+    rows = []
+    for i in range(d):
+        per_coord = {}
+        for k in range(d):
+            for m, c in algebra.product_indices(k, i).items():
+                row = per_coord.setdefault(m, {})
+                row[k] = row.get(k, 0) + c
+            for m, c in algebra.product_indices(i, k).items():
+                row = per_coord.setdefault(m, {})
+                v = row.get(k, 0) - c
+                if v == 0:
+                    row.pop(k, None)
+                else:
+                    row[k] = v
+        rows.extend(r for r in per_coord.values() if r)
+    basis = linalg.nullspace(rows, d, eps)
+    return [Element(algebra, {i: algebra.scalar(c) for i, c in v.items()}) for v in basis]
+
+
+def rescaled_m3(mode="rational"):
+    """M3 on the basis s_i E_i: structure constants s_i s_j / s_k."""
+    s = [Fraction(1, 3), Fraction(7, 2), 1, 5, Fraction(5, 6), 3, 1, Fraction(2, 7), 2]
+    mul = {(i, j): {k: c * s[i] * s[j] / s[k] for k, c in row.items()}
+           for (i, j), row in matrix_algebra(3).mul.items()}
+    return AlgebraPresentation(matrix_algebra(3).labels, mul, mode=mode)
+
+
+def center_cases():
+    s3, s4 = symmetric_group_table(3), symmetric_group_table(4)
+    rational = [matrix_algebra(3), matrix_algebra(5), upper_triangular_algebra(4),
+                group_algebra(*s3), group_algebra(*s4),
+                group_algebra(*abelian_product_table([2, 3])),
+                direct_sum_algebra([matrix_algebra(2), upper_triangular_algebra(3)]),
+                rescaled_m3()]
+    return rational + [matrix_algebra(3, mode="float"), group_algebra(*s4, mode="float"),
+                       rescaled_m3("float")]
+
+
+def test_center_equals_the_algebras_own_elimination():
+    for A in center_cases():
+        got, want = center(A), ref_center(A)
+        assert [list(z.coeffs.items()) for z in got] == \
+            [list(z.coeffs.items()) for z in want], A
+        assert all(z.space is A for z in got)
+        assert all(type(c) is type(A.eps) for z in got for c in z.coeffs.values())
+
+
 # -- commutator subspace -----------------------------------------------------
+
+def test_basis_commutators_equal_element_commutators():
+    for A in center_cases():
+        want = []
+        for p in range(A.dim):
+            for q in range(p + 1, A.dim):
+                c = commutator(A.basis_element(p), A.basis_element(q))
+                if c.coeffs:
+                    want.append((p, q, list(c.coeffs.items())))
+        got = [(p, q, list(v.items())) for p, q, v in basis_commutators(A)]
+        assert got == want, A
+
 
 def test_commutator_subspace_m2_is_trace_zero(m2):
     basis = commutator_subspace(m2)

@@ -104,6 +104,22 @@ def test_image_action_worked_example(m2, x2, t2):
     assert image_action(D, t2) == x2.element({"E12": -1})
 
 
+def test_tensor_built_from_floats_acts_like_one_built_from_fractions(m2, x2):
+    floats = {(0, 0): 0.5, (1, 2): 0.25, (3, 1): -1.5, (2, 2): 0.0}
+    t_float = Tensor2(m2, floats)
+    t_exact = Tensor2(m2, {key: Fraction(c) for key, c in floats.items() if c})
+    assert list(t_float.coeffs.items()) == list(t_exact.coeffs.items())
+    assert all(type(c) is Fraction for c in t_float.coeffs.values())
+    rng = random.Random(17)
+    for x in x2.basis_elements() + [rand_element(rng, x2)]:
+        assert sandwich_action(x, t_float) == sandwich_action(x, t_exact)
+    D = inner_derivation(x2, x2.element({"E12": -1}))
+    assert image_action(D, t_float) == image_action(D, t_exact)
+    f2 = matrix_algebra(2, mode="float")
+    t = Tensor2(f2, {(0, 0): Fraction(1, 2)})
+    assert t.coeffs == {(0, 0): 0.5} and type(t.coeffs[(0, 0)]) is float
+
+
 def test_image_action_zero_map(m2, x2, t2):
     assert image_action(LinearMap.zero(m2, x2), t2).is_zero()
 

@@ -12,6 +12,7 @@ from amlab import (AlgebraError, Functional, center, commutator,
                    trace_feasibility, upper_triangular_algebra,
                    witness_from_diagonal)
 
+from amlab.witness import commutator_values
 from oracles import sympy_rank
 
 
@@ -122,6 +123,31 @@ def test_certificates_match_coordinates_of_every_candidate():
                 assert res.certificate == [(p, q, c) for (p, q), c in zip(pairs, coords)
                                            if c != 0]
     assert decisions == {"FEASIBLE", "INFEASIBLE"}
+
+
+def ref_commutator_values(f):
+    """Largest |f([b_p, b_q])|, each commutator built by Element multiplication."""
+    space = f.space
+    worst = space.scalar(0)
+    for p in range(space.dim):
+        for q in range(p + 1, space.dim):
+            v = abs(f(commutator(space.basis_element(p), space.basis_element(q))))
+            if v > worst:
+                worst = v
+    return worst
+
+
+def test_commutator_values_equal_element_commutators():
+    rng = random.Random(43)
+    for mode in ("rational", "float"):
+        for A in [matrix_algebra(3, mode=mode), upper_triangular_algebra(3, mode=mode),
+                  group_algebra(*symmetric_group_table(3), mode=mode),
+                  group_algebra(*cyclic_group_table(4), mode=mode)]:
+            for _ in range(5):
+                f = Functional(A, [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                   for _ in range(A.dim)])
+                got, want = commutator_values(f), ref_commutator_values(f)
+                assert got == want and type(got) is type(want)
 
 
 def test_feasible_answer_solves_no_coordinates(m3, monkeypatch):
