@@ -583,10 +583,6 @@ class DiagonalQuality:
         return self.max_defect == 0 and self.symmetry_defect == 0
 
 
-def _tolerance(X, tolerance):
-    return tolerance if tolerance is not None else X.eps
-
-
 def _prepare_diagonal(X, t, tolerance=None):
     """Lift t to the unitization if needed and measure its defects there.
 
@@ -611,7 +607,7 @@ def _prepare_diagonal(X, t, tolerance=None):
         ts._cache["diag_worst"] = worst
     quality = DiagonalQuality(max_defect=ts._cache["diag_worst"],
                               symmetry_defect=ts.symmetry_defect(),
-                              tolerance=_tolerance(X, tolerance))
+                              tolerance=tolerance if tolerance is not None else X.eps)
     return ts, quality
 
 
@@ -678,7 +674,7 @@ def jordan_decompose(D, t, tolerance=None):
     X = D.codomain
     if not isinstance(X, BimodulePresentation):
         raise AlgebraError("decomposition needs a map into a bimodule")
-    map_tol = _tolerance(X, tolerance)
+    map_tol = tolerance if tolerance is not None else X.eps
     jd = jordan_defect(D)
     if jd > map_tol:
         raise AlgebraError(f"map is not a Jordan derivation (defect {jd})")
@@ -743,7 +739,7 @@ def central_jordan_decompose(D, t, tolerance=None):
     a derivation outright, and on a symmetric bimodule it forces D = 0.
     """
     X = D.codomain
-    map_tol = _tolerance(X, tolerance)
+    map_tol = tolerance if tolerance is not None else X.eps
     jd = jordan_defect(D)
     if jd > map_tol:
         raise AlgebraError(f"map is not a Jordan derivation (defect {jd})")
@@ -806,7 +802,7 @@ def lie_decompose(D, t, tolerance=None, submodule=None):
     X = D.codomain
     if not isinstance(X, BimodulePresentation):
         raise AlgebraError("decomposition needs a map into a bimodule")
-    map_tol = _tolerance(X, tolerance)
+    map_tol = tolerance if tolerance is not None else X.eps
     ld = lie_defect(D)
     if ld > map_tol:
         raise AlgebraError(f"map is not a Lie derivation (defect {ld})")

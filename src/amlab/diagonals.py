@@ -20,6 +20,7 @@ from .algebra import AlgebraError, multiply
 from .catalog import (direct_sum_algebra, group_algebra, matrix_algebra,
                       matrix_unit_index)
 from .maps import check_epimorphism
+from .scalars import RATIONAL
 from .tensor import (Tensor2, contract, contract_swapped, elementary,
                      left_action, opposite_left_action, opposite_right_action,
                      right_action)
@@ -149,27 +150,26 @@ def basis_test_set(space):
 # constructors
 # ---------------------------------------------------------------------------
 
-def matrix_diagonal(n, algebra=None, **options):
+def matrix_diagonal(n, algebra=None, mode=RATIONAL):
     """(1/n) sum_{i,j<=n} E_ij (x) E_ji over the n-by-n matrix algebra.
 
     Symmetric, and an exact diagonal: all four defects vanish on every
     test element.
     """
-    return truncated_matrix_diagonal(n, n, algebra, **options)
+    return truncated_matrix_diagonal(n, n, algebra, mode)
 
 
-def truncated_matrix_diagonal(n, ambient_dim, algebra=None, **options):
+def truncated_matrix_diagonal(n, ambient_dim, algebra=None, mode=RATIONAL):
     """The n-block matrix diagonal inside the ambient N-by-N truncation.
 
     Models the n-th entry of the approximate-diagonal net for the infinite
     l1 matrix algebra: exact on elements supported in the top-left n-by-n
-    block, with defects bounded by the mass outside that block.  Without an
-    algebra, options (mode, tol) go to catalog.matrix_algebra.
+    block, with defects bounded by the mass outside that block.
     """
     if not 1 <= n <= ambient_dim:
         raise ValueError(f"need 1 <= n <= ambient dimension, got n={n}, N={ambient_dim}")
     if algebra is None:
-        algebra = matrix_algebra(ambient_dim, **options)
+        algebra = matrix_algebra(ambient_dim, mode=mode)
     N = algebra.meta.get("matrix_n")
     if N != ambient_dim:
         raise AlgebraError(f"presentation is not the {ambient_dim}x{ambient_dim} matrix algebra")
@@ -210,15 +210,14 @@ def support_block(a):
     return best
 
 
-def group_diagonal(table, labels=None, algebra=None, **options):
+def group_diagonal(table, labels=None, algebra=None, mode=RATIONAL):
     """(1/|G|) sum_g delta_g (x) delta_{g^-1} over the l1 group algebra.
 
     Exact and symmetric for every finite group: both properties follow from
-    reindexing the sum by g -> g^-1 and g -> hg.  Without an algebra,
-    options (mode, tol) go to catalog.group_algebra.
+    reindexing the sum by g -> g^-1 and g -> hg.
     """
     if algebra is None:
-        algebra = group_algebra(table, labels, **options)
+        algebra = group_algebra(table, labels, mode=mode)
     tab = algebra.meta.get("group_table")
     inverse = algebra.meta.get("group_inverse")
     if tab is None or inverse is None:

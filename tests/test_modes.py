@@ -14,7 +14,8 @@ from fractions import Fraction
 import pytest
 
 from amlab import (FLOAT, RATIONAL, AlgebraPresentation, Tensor2, flip,
-                   matrix_algebra, regular_bimodule, serialize)
+                   group_diagonal, matrix_algebra, matrix_diagonal,
+                   regular_bimodule, serialize, truncated_matrix_diagonal)
 from amlab.cli import main
 
 
@@ -161,3 +162,16 @@ def test_rational_decompose_jordan_report_reads_tolerance_zero(tmp_path, capsys)
                      str(zero), str(t)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["diagonal"]["tolerance"] == tolerance
+
+
+def test_diagonal_constructors_build_their_algebra_in_the_given_mode():
+    c2 = [[0, 1], [1, 0]]
+    for mode in (None, RATIONAL, FLOAT):
+        kw = {} if mode is None else {"mode": mode}
+        for t in (matrix_diagonal(2, **kw), truncated_matrix_diagonal(1, 2, **kw),
+                  group_diagonal(c2, **kw)):
+            assert t.space.mode == (mode or RATIONAL)
+            assert t.space.eps == (0 if t.space.mode == RATIONAL else t.space.tol)
+    # mode stays a positional parameter after the algebra
+    assert matrix_diagonal(2, None, FLOAT).space.mode == FLOAT
+    assert group_diagonal(c2, None, None, FLOAT).space.mode == FLOAT
