@@ -94,6 +94,23 @@ class BasisSpace:
     def zero(self):
         return Element(self, {})
 
+    def _clean_table(self, table, first, second):
+        """A table {(i, j): {k: c}} over this space with checked indices and
+        coerced nonzero entries; i indexes first and j second (spaces)."""
+        out = {}
+        for (i, j), entry in table.items():
+            first.check_index(i)
+            second.check_index(j)
+            row = {}
+            for k, c in entry.items():
+                self.check_index(k)
+                c = self.scalar(c)
+                if c != 0:
+                    row[k] = c
+            if row:
+                out[(i, j)] = row
+        return out
+
     def is_zero_scalar(self, x):
         return abs(x) <= self.eps
 
@@ -116,7 +133,7 @@ class AlgebraPresentation(BasisSpace):
     def __init__(self, labels, mul, weights=None, unit=None, mode=RATIONAL,
                  tol=DEFAULT_FLOAT_TOL, name=None, meta=None, validate=True):
         super().__init__(labels, weights, mode, tol, name)
-        self.mul = self._clean_table(mul)
+        self.mul = self._clean_table(mul, self, self)
         self.unit = None
         if unit is not None:
             u = self.element(unit)
@@ -126,22 +143,6 @@ class AlgebraPresentation(BasisSpace):
         self.submultiplicative = True
         if validate:
             self._validate()
-
-    def _clean_table(self, mul):
-        table = {}
-        for key, entry in mul.items():
-            i, j = key
-            self.check_index(i)
-            self.check_index(j)
-            row = {}
-            for k, c in entry.items():
-                self.check_index(k)
-                c = self.scalar(c)
-                if c != 0:
-                    row[k] = c
-            if row:
-                table[(i, j)] = row
-        return table
 
     def product_indices(self, i, j):
         """Structure-constant row for b_i b_j (empty dict when the product is zero)."""
@@ -266,7 +267,7 @@ class Element:
 
     def norm(self):
         w = self.space.weights
-        return sum(abs(c) * w[i] for i, c in self.coeffs.items())
+        return sum((abs(c) * w[i] for i, c in self.coeffs.items()), self.space.scalar(0))
 
     def is_zero(self):
         return self.norm() <= self.space.eps

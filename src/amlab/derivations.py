@@ -16,9 +16,11 @@ algebra's and both action tables with one common denominator cleared, built
 once on first use.  The rows classify_maps eliminates are those tables'
 ints, the gates clear a map's images and the weights once and divide once
 at the end, and the module actions (left_index, right_index,
-sandwich_action, image_action) return Fractions only in their results.
-Float mode runs the same code with a scale of 1 and the same float
-operations.
+sandwich_action, image_action, inner_derivation) return Fractions only in
+their results.  Float mode runs the same code with a scale of 1 and the
+same float operations.  The tables also carry the adjoined unit of the
+unitization A# as index d = dim A, acting on the module as the identity, so
+a map or tensor over A# runs through the same rows as one over A.
 
 The decomposition procedures run against an exact symmetric diagonal over
 the unitization of the algebra (an exact diagonal of a unital algebra is
@@ -33,6 +35,7 @@ the central-trace remainder as two maps.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from . import linalg, scalars
 from .algebra import (AlgebraError, AlgebraPresentation, BasisSpace, Element,
@@ -50,9 +53,7 @@ class BimodulePresentation(BasisSpace):
     """Banach bimodule over a presented algebra, given by action tables.
 
     left maps (algebra index, module index) to sparse module vectors for
-    b_i x_j; right maps (module index, algebra index) for x_j b_i.  The
-    action bound reported is max ||b_i x_j|| / (w_i v_j) over both tables,
-    the weighted-l1 operator bound of the bilinear action.
+    b_i x_j; right maps (module index, algebra index) for x_j b_i.
     """
 
     def __init__(self, algebra, labels, left, right, weights=None, name=None,
@@ -61,9 +62,8 @@ class BimodulePresentation(BasisSpace):
             raise AlgebraError("a bimodule needs an algebra presentation")
         super().__init__(labels, weights, algebra.mode, algebra.tol, name)
         self.algebra = algebra
-        self.left = self._clean_action(left, algebra, self)
-        self.right = self._clean_action(right, self, algebra)
-        self.action_bound = self._action_bound()
+        self.left = self._clean_table(left, algebra, self)
+        self.right = self._clean_table(right, self, algebra)
         if validate:
             self._check_module_laws()
 
@@ -76,32 +76,14 @@ class BimodulePresentation(BasisSpace):
                    name or (f"{algebra.name} (regular)" if algebra.name else None),
                    validate=False)
 
-    def _clean_action(self, table, first, second):
-        """The table with checked indices and coerced nonzero entries; its keys
-        index first and then second (the algebra or this module)."""
-        out = {}
-        for (i, j), entry in table.items():
-            first.check_index(i)
-            second.check_index(j)
-            row = {}
-            for k, c in entry.items():
-                self.check_index(k)
-                c = self.scalar(c)
-                if c != 0:
-                    row[k] = c
-            if row:
-                out[(i, j)] = row
-        return out
-
-    def _action_bound(self):
-        w = self.algebra.weights
-        v = self.weights
+    @cached_property
+    def action_bound(self):
+        """max ||b_i x_j|| / (w_i v_j) over both tables, the weighted-l1
+        operator bound of the bilinear action; computed on first use."""
+        w, v = self.algebra.weights, self.weights
         best = self.scalar(0)
-        for (i, j), row in self.left.items():
-            n = sum(abs(c) * v[k] for k, c in row.items()) / (w[i] * v[j])
-            if n > best:
-                best = n
-        for (j, i), row in self.right.items():
+        for (i, j), row in chain(self.left.items(),
+                                 (((i, j), row) for (j, i), row in self.right.items())):
             n = sum(abs(c) * v[k] for k, c in row.items()) / (w[i] * v[j])
             if n > best:
                 best = n
@@ -112,7 +94,7 @@ class BimodulePresentation(BasisSpace):
         """The algebra's and both action tables in integer form (IntegerTables),
         built on first use."""
         return IntegerTables(self.mode, self.algebra.mul, self.left, self.right,
-                             self.algebra.dim)
+                             self.algebra.dim, self.dim)
 
     def left_index(self, i, vec):
         """b_i acting on a sparse module vector."""
@@ -160,7 +142,8 @@ class BimodulePresentation(BasisSpace):
     def adjoined_identity_index(self, carrier):
         """None when carrier is this module's algebra; the unit index when it
         is that algebra's unitization (where the adjoined unit acts as the
-        identity on the module)."""
+        identity on the module, as index algebra.dim of integer_tables).
+        Raises AlgebraError for any other carrier."""
         if carrier is self.algebra:
             return None
         if carrier.meta.get("unitized_from") is self.algebra:
@@ -172,50 +155,38 @@ class BimodulePresentation(BasisSpace):
         """a x for a over the algebra or its unitization."""
         if x.space is not self:
             raise AlgebraError("module element is over a different bimodule")
-        e_idx = self.adjoined_identity_index(a.space)
-        out = {}
-        for i, c in a.coeffs.items():
-            if i == e_idx:
-                linalg.vec_add_scaled(out, x.coeffs, c)
-            else:
-                linalg.vec_add_scaled(out, self.left_index(i, x.coeffs), c)
-        return Element(self, out)
+        self.adjoined_identity_index(a.space)
+        return Element(self, linalg.vec_combination(
+            (c, self.left_index(i, x.coeffs)) for i, c in a.coeffs.items()))
 
     def act_right(self, x, a):
         if x.space is not self:
             raise AlgebraError("module element is over a different bimodule")
-        e_idx = self.adjoined_identity_index(a.space)
-        out = {}
-        for i, c in a.coeffs.items():
-            if i == e_idx:
-                linalg.vec_add_scaled(out, x.coeffs, c)
-            else:
-                linalg.vec_add_scaled(out, self.right_index(x.coeffs, i), c)
-        return Element(self, out)
+        self.adjoined_identity_index(a.space)
+        return Element(self, linalg.vec_combination(
+            (c, self.right_index(x.coeffs, i)) for i, c in a.coeffs.items()))
+
+    def _basis_inner_derivations(self):
+        """images[i] of the inner derivation at each module basis vector x_j:
+        b_i x_j - x_j b_i, for j in order."""
+        return (inner_derivation(self, self.basis_element(j)).images for j in range(self.dim))
 
     def center(self):
-        """Basis of {x : b_i x == x b_i for every algebra basis element}."""
-        rows = []
-        for i in range(self.algebra.dim):
-            per_coord = {}
-            for j in range(self.dim):
-                diff = dict(self.left.get((i, j), {}))
-                linalg.vec_add_scaled(diff, self.right.get((j, i), {}), -1)
-                for k, c in diff.items():
-                    per_coord.setdefault(k, {})[j] = c
-            rows.extend(per_coord.values())
+        """Basis of {x : b_i x == x b_i for every algebra basis element}: the
+        common kernel of x -> b_i x - x b_i."""
+        per_coord = [{} for _ in range(self.algebra.dim)]
+        for j, images in enumerate(self._basis_inner_derivations()):
+            for i, img in enumerate(images):
+                for k, c in img.items():
+                    per_coord[i].setdefault(k, {})[j] = c
+        rows = [row for by_coord in per_coord for row in by_coord.values()]
         return [Element(self, {k: self.scalar(c) for k, c in v.items()})
                 for v in linalg.nullspace(rows, self.dim, self.eps)]
 
     def is_symmetric_bimodule(self):
         """True when every action commutes: b_i x_j == x_j b_i on basis pairs."""
-        for i in range(self.algebra.dim):
-            for j in range(self.dim):
-                diff = linalg.vec_sub(self.left.get((i, j), {}),
-                                      self.right.get((j, i), {}))
-                if not self._vec_small(diff):
-                    return False
-        return True
+        return all(self._vec_small(img) for images in self._basis_inner_derivations()
+                   for img in images)
 
     def __repr__(self):
         tag = self.name or f"{self.dim}-dim bimodule"
@@ -232,11 +203,16 @@ class IntegerTables:
     map each module index j with a nonzero action, in increasing order, to
     the row of b_i x_j and of x_j b_i.  Equal rows are stored once (a group
     algebra's tables hold one row per group element), so rows are read-only.
+
+    Index d = dim is the unit e adjoined in the unitization A#: mul holds A#'s
+    unit rows (d, i) and (i, d) -> {i: scale} and (d, d) -> {d: scale}, and
+    left[d] and right[d] map each of the module_dim module indices j to
+    {j: scale}, e acting as the identity.
     """
 
     __slots__ = ("scale", "mul", "left", "right")
 
-    def __init__(self, mode, mul, left, right, dim):
+    def __init__(self, mode, mul, left, right, dim, module_dim):
         self.scale, mul, left, right = scalars.clear_denominators(mode, mul, left, right)
         rows = {}
 
@@ -244,12 +220,18 @@ class IntegerTables:
             return rows.setdefault(tuple(row.items()), row)
 
         self.mul = {key: shared(row) for key, row in mul.items()}
+        for i in range(dim):
+            self.mul[(dim, i)] = self.mul[(i, dim)] = shared({i: self.scale})
+        self.mul[(dim, dim)] = shared({dim: self.scale})
         self.left = [{} for _ in range(dim)]
         self.right = [{} for _ in range(dim)]
         for (i, j), row in sorted(left.items()):
             self.left[i][j] = shared(row)
         for (j, i), row in sorted(right.items()):
             self.right[i][j] = shared(row)
+        identity = {j: shared({j: self.scale}) for j in range(module_dim)}
+        self.left.append(identity)
+        self.right.append(identity)
 
 
 def _act(rows, vec):
@@ -311,22 +293,13 @@ def sandwich_action(x, t):
     X = x.space
     if not isinstance(X, BimodulePresentation):
         raise AlgebraError("sandwich evaluation needs a bimodule element")
-    e_idx = X.adjoined_identity_index(t.space)
+    X.adjoined_identity_index(t.space)
     ints = X.integer_tables
-    # every term carries ints.scale once per side; a side acting by e makes it up in c
     x_scale, (xv,) = scalars.clear_denominators(X.mode, [x.coeffs])
     t_scale, (tv,) = scalars.clear_denominators(X.mode, [t.coeffs])
     out = {}
     for (i, j), c in tv.items():
-        if i == e_idx:
-            vec, c = xv, c * ints.scale
-        else:
-            vec = _act(ints.left[i], xv)
-        if j == e_idx:
-            c *= ints.scale
-        else:
-            vec = _act(ints.right[j], vec)
-        linalg.vec_add_scaled(out, vec, c)
+        linalg.vec_add_scaled(out, _act(ints.right[j], _act(ints.left[i], xv)), c)
     return Element(X, X._unscaled(out, ints.scale ** 2 * x_scale * t_scale))
 
 
@@ -341,22 +314,15 @@ def image_action(T, t):
         raise AlgebraError("image evaluation needs a map into a bimodule")
     if T.domain is not X.algebra:
         raise AlgebraError("map must be defined on the module's algebra")
-    e_idx = X.adjoined_identity_index(t.space)
+    X.adjoined_identity_index(t.space)
     ints = X.integer_tables
-    images_scale, images = scalars.clear_denominators(X.mode, T.images)
+    images_scale, images = scalars.clear_denominators(X.mode, T.images + [{}])
     t_scale, (tv,) = scalars.clear_denominators(X.mode, [t.coeffs])
     out = {}
     for (i, j), c in tv.items():
-        if j == e_idx:
-            continue
         img = images[j]
-        if not img:
-            continue
-        if i == e_idx:
-            vec, c = img, c * ints.scale
-        else:
-            vec = _act(ints.left[i], img)
-        linalg.vec_add_scaled(out, vec, c)
+        if img:
+            linalg.vec_add_scaled(out, _act(ints.left[i], img), c)
     return Element(X, X._unscaled(out, ints.scale * images_scale * t_scale))
 
 
@@ -415,19 +381,20 @@ def _identity_defect(D, kind):
     """Largest weighted norm over basis pairs of the identity's residual at D.
 
     D's domain is the module's algebra or its unitization, whose adjoined
-    unit acts as the identity; the trace identity has no action terms and
-    accepts any domain and codomain.  The residuals and their norms are
-    computed in ints, on integer tables, D's images and the codomain's
-    weights with their denominators cleared, and divided out once at the end.
+    unit acts as the identity (index dom.dim of the bimodule's integer
+    tables); the trace identity has no action terms and accepts any domain
+    and codomain.  The residuals and their norms are computed in ints, on
+    integer tables, D's images and the codomain's weights with their
+    denominators cleared, and divided out once at the end.
     """
     X, dom = D.codomain, D.domain
-    e_idx = None
     if kind == "trace":
-        ints = IntegerTables(X.mode, dom.mul, {}, {}, 0)
+        ints = IntegerTables(X.mode, dom.mul, {}, {}, dom.dim, 0)
+    elif isinstance(X, BimodulePresentation):
+        X.adjoined_identity_index(dom)
+        ints = X.integer_tables
     else:
-        e_idx = X.adjoined_identity_index(dom)
-        ints = (X.integer_tables if e_idx is None
-                else IntegerTables(X.mode, dom.mul, X.left, X.right, X.algebra.dim))
+        raise AlgebraError(f"the {kind} identity needs a map into a bimodule")
     images_scale, images = scalars.clear_denominators(X.mode, D.images)
     weights_scale, (w,) = scalars.clear_denominators(X.mode, [dict(enumerate(X.weights))])
     worst = 0
@@ -438,10 +405,7 @@ def _identity_defect(D, kind):
             if not vec:
                 continue
             if op is not None:
-                if op[1] == e_idx:
-                    alpha *= ints.scale
-                else:
-                    vec = _act((ints.left if op[0] == "L" else ints.right)[op[1]], vec)
+                vec = _act((ints.left if op[0] == "L" else ints.right)[op[1]], vec)
             linalg.vec_add_scaled(residual, vec, alpha)
         n = sum(abs(c) * w[k] for k, c in residual.items())
         if n > worst:
@@ -475,15 +439,16 @@ def trace_defect(D):
 
 
 def inner_derivation(X, x):
-    """The inner derivation a -> a x - x a for a module element x."""
+    """The inner derivation a -> a x - x a for a module element x, on the
+    integer tables with x's denominators cleared once."""
     if x.space is not X:
         raise AlgebraError("element is over a different bimodule")
-    alg = X.algebra
-    images = []
-    for q in range(alg.dim):
-        b = alg.basis_element(q)
-        images.append(dict((X.act_left(b, x) - X.act_right(x, b)).coeffs))
-    return LinearMap(alg, X, images)
+    ints = X.integer_tables
+    x_scale, (xv,) = scalars.clear_denominators(X.mode, [x.coeffs])
+    images = [X._unscaled(linalg.vec_sub(_act(ints.left[q], xv), _act(ints.right[q], xv)),
+                          ints.scale * x_scale)
+              for q in range(X.algebra.dim)]
+    return LinearMap(X.algebra, X, images)
 
 
 def _identity_rows(algebra, X, kind):
@@ -672,8 +637,6 @@ def jordan_decompose(D, t, tolerance=None):
     omega = x - x1/2 with D(a) = a omega - omega a verified on the basis.
     """
     X = D.codomain
-    if not isinstance(X, BimodulePresentation):
-        raise AlgebraError("decomposition needs a map into a bimodule")
     map_tol = tolerance if tolerance is not None else X.eps
     jd = jordan_defect(D)
     if jd > map_tol:
@@ -689,19 +652,18 @@ def jordan_decompose(D, t, tolerance=None):
     x1 = image_action(delta, ts)
     half = X.scalar(1) / X.scalar(2)
     omega = x - x1.scaled(half)
+    inner, ad_x = inner_derivation(X, omega), inner_derivation(X, x)
     alg = D.domain
     residuals = {}
     stage1 = {}
     bounds = {}
     for q in range(alg.dim):
-        b = alg.basis_element(q)
         Db = D.image_of_basis(q)
-        inner = X.act_left(b, omega) - X.act_right(omega, b)
-        residuals[alg.labels[q]] = (Db - inner).norm()
-        lhs = X.act_left(b, x) - X.act_right(x, b)
-        stage1[alg.labels[q]] = (Db - (lhs - delta.image_of_basis(q))).norm()
+        residuals[alg.labels[q]] = (Db - inner.image_of_basis(q)).norm()
+        stage1[alg.labels[q]] = (Db - (ad_x.image_of_basis(q)
+                                       - delta.image_of_basis(q))).norm()
         if not quality.exact:
-            bounds[alg.labels[q]] = _residual_bound(D, ts, b, quality)
+            bounds[alg.labels[q]] = _residual_bound(D, ts, alg.basis_element(q), quality)
     exact = quality.exact
     if exact:
         ok = all(X.is_zero_scalar(r) for r in residuals.values())
@@ -749,11 +711,11 @@ def central_jordan_decompose(D, t, tolerance=None):
     ts, quality = _require_diagonal(X, t, tolerance)
     x = image_action(D, ts)
     half = X.scalar(1) / X.scalar(2)
+    ad_x = inner_derivation(X, x)
     alg = D.domain
     residuals = {}
     for q in range(alg.dim):
-        b = alg.basis_element(q)
-        half_inner = (X.act_left(b, x) - X.act_right(x, b)).scaled(half)
+        half_inner = ad_x.image_of_basis(q).scaled(half)
         residuals[alg.labels[q]] = (D.image_of_basis(q) - half_inner).norm()
     dd = derivation_defect(D)
     ok = all(r <= quality.tolerance for r in residuals.values()) and dd <= map_tol
@@ -800,8 +762,6 @@ def lie_decompose(D, t, tolerance=None, submodule=None):
     without being gated.
     """
     X = D.codomain
-    if not isinstance(X, BimodulePresentation):
-        raise AlgebraError("decomposition needs a map into a bimodule")
     map_tol = tolerance if tolerance is not None else X.eps
     ld = lie_defect(D)
     if ld > map_tol:

@@ -16,6 +16,7 @@ all four defects zero is an exact symmetric diagonal.
 
 from dataclasses import dataclass, field
 
+from . import linalg
 from .algebra import AlgebraError, multiply
 from .catalog import (direct_sum_algebra, group_algebra, matrix_algebra,
                       matrix_unit_index)
@@ -190,7 +191,7 @@ def tail_mass(a, n):
     N = a.space.meta.get("matrix_n")
     if N is None:
         raise AlgebraError("element is not over a matrix-unit presentation")
-    total = 0
+    total = a.space.scalar(0)
     for idx, c in a.coeffs.items():
         i, j = divmod(idx, N)
         if i >= n or j >= n:
@@ -282,13 +283,8 @@ def pushforward_diagonal(theta, t):
     out = {}
     for (i, j), c in t.coeffs.items():
         for k, ck in theta.images[i].items():
-            for l, cl in theta.images[j].items():
-                key = (k, l)
-                v = out.get(key, 0) + c * ck * cl
-                if v == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = v
+            linalg.vec_add_scaled(out, {(k, l): cl for l, cl in theta.images[j].items()},
+                                  c * ck)
     return Tensor2(theta.codomain, out)
 
 

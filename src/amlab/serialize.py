@@ -36,6 +36,21 @@ def _as_list(obj, key):
     return value
 
 
+def _table(entries, what, layout, scalar):
+    """{(i, j): {k: coeff}} from [i, j, k, coeff] entries, repeats summed;
+    what names the entries in errors and layout spells out their shape."""
+    table = {}
+    for entry in entries:
+        _require(isinstance(entry, list) and len(entry) == 4,
+                 f"{what} entries must be {layout}")
+        i, j, k, c = entry
+        for n in (i, j, k):
+            _require(isinstance(n, int), f"basis index {n!r} in a {what} entry must be an integer")
+        row = table.setdefault((i, j), {})
+        row[k] = row.get(k, 0) + scalar(c)
+    return table
+
+
 def _basis(data):
     basis = _as_list(data, "basis")
     _require(all(isinstance(label, str) for label in basis), "basis labels must be strings")
@@ -71,14 +86,8 @@ def algebra_to_dict(algebra):
 def algebra_from_dict(data, mode, tol=scalars.DEFAULT_FLOAT_TOL, name=None):
     basis = _basis(data)
     weights = data.get("weights")
-    mul_entries = _as_list(data, "mul")
-    mul = {}
-    for entry in mul_entries:
-        _require(isinstance(entry, list) and len(entry) == 4,
-                 "mul entries must be [i, j, k, coeff]")
-        i, j, k, c = entry
-        row = mul.setdefault((i, j), {})
-        row[k] = row.get(k, 0) + scalars.coerce(c, mode)
+    mul = _table(_as_list(data, "mul"), "mul", "[i, j, k, coeff]",
+                 lambda c: scalars.coerce(c, mode))
     unit = data.get("unit")
     if unit is not None:
         _require(isinstance(unit, list) and len(unit) == len(basis),
@@ -222,20 +231,10 @@ def bimodule_to_dict(X):
 def bimodule_from_dict(data, algebra):
     basis = _basis(data)
     weights = data.get("weights")
-    left = {}
-    for entry in _as_list(data, "left"):
-        _require(isinstance(entry, list) and len(entry) == 4,
-                 "left action entries must be [a, x, y, coeff]")
-        i, j, k, c = entry
-        row = left.setdefault((i, j), {})
-        row[k] = row.get(k, 0) + algebra.scalar(c)
-    right = {}
-    for entry in _as_list(data, "right"):
-        _require(isinstance(entry, list) and len(entry) == 4,
-                 "right action entries must be [x, a, y, coeff]")
-        j, i, k, c = entry
-        row = right.setdefault((j, i), {})
-        row[k] = row.get(k, 0) + algebra.scalar(c)
+    left = _table(_as_list(data, "left"), "left action", "[a, x, y, coeff]",
+                  algebra.scalar)
+    right = _table(_as_list(data, "right"), "right action", "[x, a, y, coeff]",
+                   algebra.scalar)
     return BimodulePresentation(algebra, basis, left, right, weights,
                                 name=data.get("name"))
 

@@ -44,14 +44,7 @@ class Tensor2:
         for i, j, c in terms:
             space.check_index(i)
             space.check_index(j)
-            c = space.scalar(c)
-            if c != 0:
-                key = (i, j)
-                v = out.get(key, 0) + c
-                if v == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = v
+            linalg.vec_add_scaled(out, {(i, j): space.scalar(c)}, 1)
         return cls(space, out)
 
     def terms(self):
@@ -61,7 +54,8 @@ class Tensor2:
         if "proj_norm" not in self._cache:
             w = self.space.weights
             self._cache["proj_norm"] = sum(
-                abs(c) * w[i] * w[j] for (i, j), c in self.coeffs.items())
+                (abs(c) * w[i] * w[j] for (i, j), c in self.coeffs.items()),
+                self.space.scalar(0))
         return self._cache["proj_norm"]
 
     def is_zero(self):
@@ -121,13 +115,8 @@ class Tensor2:
 def elementary(a, b):
     """The elementary tensor a (x) b."""
     same_space(a, b, "tensor factors")
-    out = {}
-    for i, ci in a.coeffs.items():
-        for j, cj in b.coeffs.items():
-            c = ci * cj
-            if c != 0:
-                out[(i, j)] = c
-    return Tensor2(a.space, out)
+    return Tensor2(a.space, {(i, j): ci * cj for i, ci in a.coeffs.items()
+                             for j, cj in b.coeffs.items()})
 
 
 def zero_tensor(space):
@@ -145,16 +134,9 @@ def _act(a, t, leg, side):
         for i, ca in a.coeffs.items():
             row = space.product_indices(i, target) if side == "l" else \
                 space.product_indices(target, i)
-            if not row:
-                continue
-            c = ca * ct
-            for k, ck in row.items():
-                key = (k, r) if leg == 0 else (l, k)
-                v = out.get(key, 0) + c * ck
-                if v == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = v
+            if row:
+                linalg.vec_add_scaled(out, {((k, r) if leg == 0 else (l, k)): ck
+                                            for k, ck in row.items()}, ca * ct)
     return Tensor2(space, out)
 
 

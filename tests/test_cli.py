@@ -107,6 +107,72 @@ def test_bad_action_index_exits_2(tmp_path, m2_file, entry, capsys):
     assert err.startswith("error: basis index") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("entry", [[[0], 0, 0, "1"], [0, [0], 0, "1"], [0, 0, [0], "1"],
+                                   [0.0, 0, 0, "1"]],
+                         ids=["list-i", "list-j", "list-k", "float-i"])
+def test_non_integer_mul_index_exits_2(tmp_path, entry, capsys):
+    path = write(tmp_path / "A.json", {"basis": ["a"], "mul": [entry]})
+    assert main(["center", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: basis index") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_list_action_index_exits_2(tmp_path, m2_file, side, position, capsys):
+    X = serialize.bimodule_to_dict(regular_bimodule(matrix_algebra(2)))
+    X[side][0][position] = [X[side][0][position]]
+    path = write(tmp_path / "X.json", X)
+    assert main(["classify", "derivation", m2_file, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: basis index") and "Traceback" not in err
+
+
+def test_malformed_table_entries_keep_their_messages(tmp_path, m2_file, capsys):
+    path = write(tmp_path / "A.json", {"basis": ["a"], "mul": [[0, 0, "1"]]})
+    assert main(["center", path]) == 2
+    assert "mul entries must be [i, j, k, coeff]" in capsys.readouterr().err
+    for side, layout in [("left", "[a, x, y, coeff]"), ("right", "[x, a, y, coeff]")]:
+        X = serialize.bimodule_to_dict(regular_bimodule(matrix_algebra(2)))
+        X[side][0] = X[side][0][:3]
+        path = write(tmp_path / "X.json", X)
+        assert main(["classify", "derivation", m2_file, path]) == 2
+        assert f"{side} action entries must be {layout}" in capsys.readouterr().err
+
+
+def numbers_in(obj):
+    if isinstance(obj, dict):
+        for v in obj.values():
+            yield from numbers_in(v)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from numbers_in(v)
+    elif not isinstance(obj, (bool, str)) and obj is not None:
+        yield obj
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_central_jordan_report_writes_zero_in_the_mode_type(tmp_path, mode, capsys):
+    """A zero norm is "0" in rational mode and 0.0 in float mode, like every
+    other value of its field, not a bare JSON 0."""
+    m3 = write(tmp_path / "M3.json", serialize.algebra_to_dict(matrix_algebra(3)))
+    zero = write(tmp_path / "D.json", {"matrix": [["0"] * 9 for _ in range(9)]})
+    t = tmp_path / "t.json"
+    assert main(["build-diagonal", "matrix", "3", "--out", str(t)]) == 0
+    capsys.readouterr()
+    assert main(["--mode", mode, "decompose-jordan", m3, "regular", zero, str(t),
+                 "--central"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    zero_value = "0" if mode == "rational" else 0.0
+    assert report["diagonal"]["symmetry_defect"] == zero_value
+    assert report["derivation_defect"] == zero_value
+    assert report["residuals"] == {label: zero_value for label in report["residuals"]}
+    if mode == "rational":
+        assert list(numbers_in(report)) == []
+    else:
+        assert all(type(v) is float for v in numbers_in(report))
+
+
 def test_build_matrix_diagonal(tmp_path, capsys):
     out = tmp_path / "t.json"
     alg_out = tmp_path / "alg.json"

@@ -19,7 +19,7 @@ from amlab import (AlgebraError, AlgebraPresentation, BimodulePresentation,
                    upper_triangular_algebra)
 
 from amlab.maps import flatten_map
-from amlab import derivations, linalg
+from amlab import derivations, linalg, scalars
 
 
 def rand_element(rng, space, lo=-3, hi=3):
@@ -853,6 +853,155 @@ def test_identity_rows_match_the_fraction_reference(mode):
                     assert g == w
         # one positive factor for every row of every identity over X
         assert len(factors) == 1 and factors.pop() > 0
+
+
+# -- the adjoined unit as a row of the integer tables ----------------------------------------
+
+# The gates' path for a map on the unitization A# before its unit was index d of
+# IntegerTables: a second table built from A#'s products on every call, and a branch
+# that lets the unit act by multiplying the term's coefficient by the scale.
+
+def rebuilt_table_defect(D, kind):
+    X, dom = D.codomain, D.domain
+    e_idx = X.adjoined_identity_index(dom)
+    scale, mul, left, right = scalars.clear_denominators(X.mode, dom.mul, X.left, X.right)
+    actions = {"L": [{} for _ in range(X.algebra.dim)], "R": [{} for _ in range(X.algebra.dim)]}
+    for (i, j), row in sorted(left.items()):
+        actions["L"][i][j] = row
+    for (j, i), row in sorted(right.items()):
+        actions["R"][i][j] = row
+    images_scale, images = scalars.clear_denominators(X.mode, D.images)
+    weights_scale, (w,) = scalars.clear_denominators(X.mode, [dict(enumerate(X.weights))])
+    worst = 0
+    for terms in derivations._identity_terms(mul, dom.dim, kind):
+        residual = {}
+        for alpha, q, op in terms:
+            vec = images[q]
+            if not vec:
+                continue
+            if op is not None:
+                if op[1] == e_idx:
+                    alpha *= scale
+                else:
+                    rows = actions[op[0]][op[1]]
+                    vec = linalg.vec_combination((c, rows.get(j)) for j, c in vec.items())
+            linalg.vec_add_scaled(residual, vec, alpha)
+        worst = max(worst, sum(abs(c) * w[k] for k, c in residual.items()))
+    return scalars.unscale(X.mode, worst, scale * images_scale * weights_scale)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_gates_on_the_unitization_match_the_rebuilt_table_path(mode):
+    rng = random.Random(47)
+    for X in gate_cases(mode):
+        sharp = unitize(X.algebra)
+        x = X.element({k: Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for k in range(X.dim)})
+        ad = LinearMap(sharp, X, inner_derivation(X, x).images + [{}])
+        for D in (rand_map(rng, sharp, X), rand_map(rng, sharp, X), ad):
+            assert D.images[-1] or D is ad
+            for defect, kind in IDENTITY_KINDS.items():
+                got, want = defect(D), rebuilt_table_defect(D, kind)
+                assert got == want and type(got) is type(want)
+        assert X.is_zero_scalar(derivation_defect(ad))
+
+
+def test_the_unit_row_of_the_integer_tables_acts_as_the_identity():
+    for X in gate_cases("rational"):
+        ints, d = X.integer_tables, X.algebra.dim
+        assert len(ints.left) == len(ints.right) == d + 1
+        assert ints.left[d] == ints.right[d] == {j: {j: ints.scale} for j in range(X.dim)}
+        assert ints.mul[(d, d)] == {d: ints.scale}
+        for i in range(d):
+            assert ints.mul[(d, i)] == ints.mul[(i, d)] == {i: ints.scale}
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_inner_derivation_matches_the_element_reference(mode):
+    rng = random.Random(53)
+    for X in gate_cases(mode):
+        A = X.algebra
+        sharp = unitize(A)
+        e = sharp.basis_element(sharp.meta["adjoined_index"])
+        for _ in range(3):
+            x = X.element({k: Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                           for k in range(X.dim) if rng.random() < 0.7})
+            D = inner_derivation(X, x)
+            for q, b in enumerate(A.basis_elements()):
+                want = X.act_left(b, x) - X.act_right(x, b)
+                same_vector(D.images[q], want.coeffs, mode)
+            # over A# the unit acts as the identity, on either side
+            same_vector(X.act_left(e, x).coeffs, x.coeffs, mode)
+            same_vector(X.act_right(x, e).coeffs, x.coeffs, mode)
+            a = sharp.element({0: Fraction(3, 2), sharp.dim - 1: Fraction(-2, 3)})
+            want = linalg.vec_combination([(a.coeffs[0], ref_left_index(X, 0, x.coeffs)),
+                                           (a.coeffs[sharp.dim - 1], x.coeffs)])
+            same_vector(X.act_left(a, x).coeffs, want, mode)
+
+
+def decomposition_cases(mode):
+    m3 = matrix_algebra(3, mode=mode)
+    s3 = group_algebra(*symmetric_group_table(3), mode=mode)
+    for A, t in [(m3, matrix_diagonal(3, algebra=m3)),
+                 (s3, group_diagonal(*symmetric_group_table(3), algebra=s3))]:
+        X = regular_bimodule(A)
+        yield X, t
+        yield direct_sum_bimodule([X, X]), t
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_decomposition_residuals_match_the_element_reference(mode):
+    """Residuals of maps that are not Jordan derivations, let through a large
+    tolerance so that they are nonzero, against act_left and act_right."""
+    rng = random.Random(59)
+    for X, t in decomposition_cases(mode):
+        A = X.algebra
+        big = X.scalar(10 ** 6)
+        half = X.scalar(1) / X.scalar(2)
+        for D in (rand_map(rng, A, X), rand_map(rng, A, X)):
+            rep = jordan_decompose(D, t, tolerance=big)
+            central = central_jordan_decompose(D, t, tolerance=big)
+            for q, b in enumerate(A.basis_elements()):
+                Db = D.image_of_basis(q)
+                inner = X.act_left(b, rep.omega) - X.act_right(rep.omega, b)
+                lhs = X.act_left(b, rep.x) - X.act_right(rep.x, b)
+                stage1 = Db - (lhs - rep.central_stage.image_of_basis(q))
+                half_inner = (X.act_left(b, central.x) - X.act_right(central.x, b)).scaled(half)
+                label = A.labels[q]
+                for got, want in [(rep.residuals[label], (Db - inner).norm()),
+                                  (rep.stage_one_residuals[label], stage1.norm()),
+                                  (central.residuals[label], (Db - half_inner).norm())]:
+                    assert got == want and type(got) is type(want)
+            assert any(r > 0 for r in rep.residuals.values())
+            assert any(r > 0 for r in central.residuals.values())
+
+
+def test_gates_and_decompositions_reject_a_map_into_an_algebra(m2):
+    D = LinearMap.zero(m2, m2)
+    for defect in (derivation_defect, jordan_defect, lie_defect, centrality_defect):
+        with pytest.raises(AlgebraError, match="needs a map into a bimodule"):
+            defect(D)
+    assert trace_defect(D) == 0
+    t = matrix_diagonal(2, algebra=m2)
+    for decompose in (jordan_decompose, central_jordan_decompose, lie_decompose):
+        with pytest.raises(AlgebraError, match="needs a map into a bimodule"):
+            decompose(D, t)
+
+
+def ref_action_bound(X):
+    w, v = X.algebra.weights, X.weights
+    bounds = [sum(abs(c) * v[k] for k, c in row.items()) / (w[i] * v[j])
+              for (i, j), row in X.left.items()]
+    bounds += [sum(abs(c) * v[k] for k, c in row.items()) / (w[i] * v[j])
+               for (j, i), row in X.right.items()]
+    return max(bounds)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_action_bound_is_computed_on_first_use(mode):
+    for X in gate_cases(mode):
+        assert "action_bound" not in vars(X)
+        assert X.action_bound == ref_action_bound(X) > 0
+        assert type(X.action_bound) is (Fraction if mode == "rational" else float)
 
 
 # -- float mode ---------------------------------------------------------------------------

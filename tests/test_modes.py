@@ -16,6 +16,7 @@ import pytest
 from amlab import (FLOAT, RATIONAL, AlgebraPresentation, Tensor2, flip,
                    group_diagonal, matrix_algebra, matrix_diagonal,
                    regular_bimodule, serialize, truncated_matrix_diagonal)
+from amlab.diagonals import tail_mass
 from amlab.cli import main
 
 
@@ -175,3 +176,13 @@ def test_diagonal_constructors_build_their_algebra_in_the_given_mode():
     # mode stays a positional parameter after the algebra
     assert matrix_diagonal(2, None, FLOAT).space.mode == FLOAT
     assert group_diagonal(c2, None, None, FLOAT).space.mode == FLOAT
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_empty_norms_are_zero_of_the_mode_type(mode):
+    A = matrix_algebra(3, mode=mode)
+    zero = Fraction(0) if mode == RATIONAL else 0.0
+    inside = A.element({0: 2, 4: -1})     # E11 and E22, inside the top-left 2-by-2 block
+    for value in (A.zero().norm(), Tensor2(A, {}).proj_norm(), tail_mass(inside, 2)):
+        assert value == zero and type(value) is type(zero)
+    assert type(tail_mass(inside, 1)) is type(zero)

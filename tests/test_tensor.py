@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from amlab import (AlgebraError, Tensor2, contract, contract_swapped,
-                   elementary, flip, left_action,
-                   matrix_diagonal, multiply, norm, opposite_left_action,
-                   opposite_right_action, proj_norm, right_action, unitize,
-                   zero_tensor)
+from amlab import (AlgebraError, AlgebraPresentation, LinearMap, Tensor2, block_projection, contract,
+                   contract_swapped, direct_sum_algebra, elementary, flip,
+                   group_algebra, left_action, matrix_algebra, matrix_diagonal,
+                   multiply, norm, opposite_left_action, opposite_right_action,
+                   proj_norm, pushforward_diagonal, right_action,
+                   symmetric_group_table, unitize, zero_tensor)
 
 
 def rand_element(rng, algebra, lo=-3, hi=3):
@@ -180,3 +181,119 @@ def test_operator_sugar(m2):
     assert t * a == right_action(t, a)
     assert 2 * t == t + t
     assert (t - t).is_zero()
+
+
+# -- the accumulate loops against the ones they replaced ----------------------------------
+
+# The loops as they were before they went through linalg.vec_add_scaled: each entry
+# accumulated into out by hand and popped when it reaches zero.
+
+def ref_act(a, t, leg, side):
+    space = t.space
+    out = {}
+    for (l, r), ct in t.coeffs.items():
+        target = l if leg == 0 else r
+        for i, ca in a.coeffs.items():
+            row = space.product_indices(i, target) if side == "l" else \
+                space.product_indices(target, i)
+            if not row:
+                continue
+            c = ca * ct
+            for k, ck in row.items():
+                key = (k, r) if leg == 0 else (l, k)
+                v = out.get(key, 0) + c * ck
+                if v == 0:
+                    out.pop(key, None)
+                else:
+                    out[key] = v
+    return out
+
+
+def ref_from_terms(space, terms):
+    out = {}
+    for i, j, c in terms:
+        c = space.scalar(c)
+        if c != 0:
+            v = out.get((i, j), 0) + c
+            if v == 0:
+                out.pop((i, j), None)
+            else:
+                out[(i, j)] = v
+    return out
+
+
+def ref_pushforward(theta, t):
+    out = {}
+    for (i, j), c in t.coeffs.items():
+        for k, ck in theta.images[i].items():
+            for l, cl in theta.images[j].items():
+                v = out.get((k, l), 0) + c * ck * cl
+                if v == 0:
+                    out.pop((k, l), None)
+                else:
+                    out[(k, l)] = v
+    return out
+
+
+def same_table(got, want, mode):
+    assert list(got.items()) == list(want.items())
+    assert all(type(c) is (Fraction if mode == "rational" else float) for c in got.values())
+
+
+def rand_fraction(rng):
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+
+def on_new_basis(A):
+    """A on the basis f_k = b_k + b_{k+1} (f_{d-1} = b_{d-1}), whose products
+    have several entries."""
+    d = A.dim
+
+    def in_f(vec):  # b_k = f_k - f_{k+1} + f_{k+2} - ...
+        out = {}
+        for k, c in vec.items():
+            for m in range(k, d):
+                out[m] = out.get(m, 0) + (-1) ** (m - k) * c
+        return {m: c for m, c in out.items() if c}
+
+    f = [A.element({k: 1, k + 1: 1} if k + 1 < d else {k: 1}) for k in range(d)]
+    mul = {(i, j): in_f(multiply(f[i], f[j]).coeffs) for i in range(d) for j in range(d)}
+    return AlgebraPresentation([f"f{k}" for k in range(d)], mul, mode=A.mode)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_tensor_loops_match_the_hand_accumulated_reference(mode):
+    rng = random.Random(61)
+    m2, m3 = matrix_algebra(2, mode=mode), matrix_algebra(3, mode=mode)
+    s3 = group_algebra(*symmetric_group_table(3), mode=mode)
+    actions = [(lambda a, t: left_action(a, t), 0, "l"),
+               (lambda a, t: right_action(t, a), 1, "r"),
+               (lambda a, t: opposite_left_action(a, t), 1, "l"),
+               (lambda a, t: opposite_right_action(t, a), 0, "r")]
+    for A in (m3, s3, unitize(s3), on_new_basis(m3)):
+        for _ in range(4):
+            a = A.element({i: rand_fraction(rng) for i in range(A.dim) if rng.random() < 0.5})
+            t = Tensor2(A, {(rng.randrange(A.dim), rng.randrange(A.dim)): rand_fraction(rng)
+                            for _ in range(12)})
+            for action, leg, side in actions:
+                same_table(action(a, t).coeffs, ref_act(a, t, leg, side), mode)
+            # repeated pairs, one of them cancelling to zero and coming back
+            terms = [(rng.randrange(A.dim), rng.randrange(A.dim), rand_fraction(rng))
+                     for _ in range(10)]
+            terms += [(0, 1, 2), (1, 0, 3), (0, 1, -2), (0, 1, 5), (2, 2, 0)]
+            same_table(Tensor2.from_terms(A, terms).coeffs, ref_from_terms(A, terms), mode)
+            b = A.element({i: rand_fraction(rng) for i in range(A.dim) if rng.random() < 0.5})
+            same_table(elementary(a, b).coeffs,
+                       {(i, j): ci * cj for i, ci in a.coeffs.items()
+                        for j, cj in b.coeffs.items()}, mode)
+    # block projections, and conjugation by u = 1 + E12 on M2, whose images have
+    # several entries
+    S = direct_sum_algebra([m2, m3])
+    u, u_inv = m2.element({0: 1, 1: 1, 3: 1}), m2.element({0: 1, 1: -1, 3: 1})
+    conjugation = LinearMap(m2, m2, [dict(multiply(multiply(u, b), u_inv).coeffs)
+                                     for b in m2.basis_elements()])
+    for theta in (block_projection(S, 0), block_projection(S, 1), conjugation):
+        A = theta.domain
+        t = Tensor2(A, {(rng.randrange(A.dim), rng.randrange(A.dim)): rand_fraction(rng)
+                        for _ in range(20)})
+        same_table(pushforward_diagonal(theta, t).coeffs, ref_pushforward(theta, t), mode)
