@@ -166,27 +166,29 @@ class BimodulePresentation(BasisSpace):
         return Element(self, linalg.vec_combination(
             (c, self.right_index(x.coeffs, i)) for i, c in a.coeffs.items()))
 
-    def _basis_inner_derivations(self):
-        """images[i] of the inner derivation at each module basis vector x_j:
-        b_i x_j - x_j b_i, for j in order."""
-        return (inner_derivation(self, self.basis_element(j)).images for j in range(self.dim))
-
     def center(self):
-        """Basis of {x : b_i x == x b_i for every algebra basis element}: the
-        common kernel of x -> b_i x - x b_i."""
-        per_coord = [{} for _ in range(self.algebra.dim)]
-        for j, images in enumerate(self._basis_inner_derivations()):
-            for i, img in enumerate(images):
-                for k, c in img.items():
-                    per_coord[i].setdefault(k, {})[j] = c
-        rows = [row for by_coord in per_coord for row in by_coord.values()]
+        """Basis of {x : b_i x == x b_i for every algebra basis element}."""
+        rows = []
+        for i in range(self.algebra.dim):
+            per_coord = {}
+            for j in range(self.dim):
+                diff = dict(self.left.get((i, j), {}))
+                linalg.vec_add_scaled(diff, self.right.get((j, i), {}), -1)
+                for k, c in diff.items():
+                    per_coord.setdefault(k, {})[j] = c
+            rows.extend(per_coord.values())
         return [Element(self, {k: self.scalar(c) for k, c in v.items()})
                 for v in linalg.nullspace(rows, self.dim, self.eps)]
 
     def is_symmetric_bimodule(self):
         """True when every action commutes: b_i x_j == x_j b_i on basis pairs."""
-        return all(self._vec_small(img) for images in self._basis_inner_derivations()
-                   for img in images)
+        for i in range(self.algebra.dim):
+            for j in range(self.dim):
+                diff = linalg.vec_sub(self.left.get((i, j), {}),
+                                      self.right.get((j, i), {}))
+                if not self._vec_small(diff):
+                    return False
+        return True
 
     def __repr__(self):
         tag = self.name or f"{self.dim}-dim bimodule"
