@@ -3,14 +3,16 @@
 A presentation fixes a finite basis b_0..b_{d-1}, positive weights w_i, and
 sparse structure constants c_{ijk} with b_i b_j = sum_k c_{ijk} b_k.  The
 norm of sum a_i b_i is sum |a_i| w_i.  On construction we validate
-associativity on basis triples (exactly in rational mode: the constants'
-denominators are cleared once and the check runs in ints) and certify
+associativity on basis triples, on integer_tables (the constants with one
+denominator cleared, ints in rational mode: the table of the algebra as a
+bimodule over itself, which the regular bimodule shares), and certify
 submultiplicativity (sum_k |c_{ijk}| w_k <= w_i w_j for every pair); a
 presentation failing the certificate is accepted with a warning flag and
 norm inequalities are then not guaranteed.
 """
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import scalars
 from . import linalg
@@ -67,7 +69,8 @@ class BasisSpace:
         return scalars.coerce(value, self.mode)
 
     def check_index(self, i):
-        if not isinstance(i, int) or not 0 <= i < self.dim:
+        # type, not isinstance: a bool (JSON true/false) is an int but no index
+        if type(i) is not int or not 0 <= i < self.dim:
             raise SchemaError(f"basis index {i!r} out of range for dimension {self.dim}")
         return i
 
@@ -142,52 +145,51 @@ class AlgebraPresentation(BasisSpace):
         self.warnings = []
         self.submultiplicative = True
         if validate:
-            self._validate()
+            self._check_associativity()
+            self._check_submultiplicativity()
+            if self.unit is not None:
+                self._check_unit()
 
     def product_indices(self, i, j):
         """Structure-constant row for b_i b_j (empty dict when the product is zero)."""
         return self.mul.get((i, j), _EMPTY)
 
-    def _validate(self):
-        self._check_associativity()
-        self._check_submultiplicativity()
-        if self.unit is not None:
-            self._check_unit()
+    @cached_property
+    def integer_tables(self):
+        """The table in integer form (IntegerTables), as the algebra's own
+        regular bimodule; built by validation or on first use."""
+        return IntegerTables(self.mode, self.mul, self.mul, self.mul, self.dim, self.dim)
 
     def _check_associativity(self):
         """(b_i b_j) b_k == b_i (b_j b_k) on every triple with a nonzero side.
 
         A side is nonzero only if (i, j) or (j, k) is in the table: the first
         pass takes the triples with (i, j) in it, the second those with
-        (j, k) in it and (i, j) not.  Each triple runs on the table with its
-        denominators cleared (scalars.clear_denominators), where both sides
-        carry the same factor D^2.
+        (j, k) in it and (i, j) not.  Each triple runs on integer_tables,
+        where both sides carry the same factor D^2.
         """
         mul = self.mul
-        dim = self.dim
-        _, self._cleared = scalars.clear_denominators(self.mode, mul)
-        try:
-            for (i, j) in mul:
-                for k in range(dim):
+        for (i, j) in mul:
+            for k in range(self.dim):
+                self._check_triple(i, j, k)
+        for (j, k) in mul:
+            for i in range(self.dim):
+                if (i, j) not in mul:
                     self._check_triple(i, j, k)
-            for (j, k) in mul:
-                for i in range(dim):
-                    if (i, j) not in mul:
-                        self._check_triple(i, j, k)
-        finally:
-            del self._cleared
 
     def _check_triple(self, i, j, k):
-        """One basis triple, on the cleared table _check_associativity holds."""
-        table = self._cleared
+        """One basis triple, on integer_tables: left[i][m] is the row of
+        b_i b_m and right[k][m] that of b_m b_k."""
+        ints = self.integer_tables
+        left_i, right_k = ints.left[i], ints.right[k]
         lhs = {}
-        for m, c in table.get((i, j), _EMPTY).items():
-            row = table.get((m, k))
+        for m, c in left_i.get(j, _EMPTY).items():
+            row = right_k.get(m)
             if row:
                 linalg.vec_add_scaled(lhs, row, c)
         rhs = {}
-        for m, c in table.get((j, k), _EMPTY).items():
-            row = table.get((i, m))
+        for m, c in ints.left[j].get(k, _EMPTY).items():
+            row = left_i.get(m)
             if row:
                 linalg.vec_add_scaled(rhs, row, c)
         if not self._agree(lhs, rhs):
@@ -219,10 +221,7 @@ class AlgebraPresentation(BasisSpace):
         return Element(self, dict(self.unit))
 
     def is_commutative(self):
-        for (i, j), row in self.mul.items():
-            if not self._vec_small(linalg.vec_sub(row, self.product_indices(j, i))):
-                return False
-        return True
+        return self.integer_tables.actions_commute(self._agree)
 
     def structurally_equal(self, other):
         """Same labels, weights, table and unit (element mixing still requires identity)."""
@@ -241,6 +240,68 @@ class AlgebraPresentation(BasisSpace):
 
 
 _EMPTY = {}
+
+
+class IntegerTables:
+    """A bimodule's structure and action tables with one common denominator cleared.
+
+    Every entry is scale times the true constant (scalars.clear_denominators):
+    an int in rational mode, where scale is the lcm D of the algebra's and
+    both actions' denominators, and the float itself in float mode, where
+    scale is 1; a table object passed twice is cleared once.  mul maps (i, j)
+    to the row of b_i b_j.  left[i] and right[i] map each module index j with
+    a nonzero action, in increasing order, to the row of b_i x_j and of x_j b_i.
+    Equal rows are stored once (a group algebra's tables hold one row per
+    group element), so rows are read-only.
+
+    Index d = dim is the unit e adjoined in the unitization A#: mul holds A#'s
+    unit rows (d, i) and (i, d) -> {i: scale} and (d, d) -> {d: scale}, and
+    left[d] and right[d] map each of the module_dim module indices j to
+    {j: scale}, e acting as the identity.
+    """
+
+    __slots__ = ("scale", "mul", "left", "right")
+
+    def __init__(self, mode, mul, left, right, dim, module_dim):
+        distinct = {id(t): t for t in (mul, left, right)}
+        self.scale, *cleared = scalars.clear_denominators(mode, *distinct.values())
+        cleared = dict(zip(distinct, cleared))
+        mul, left, right = (cleared[id(t)] for t in (mul, left, right))
+        rows = {}
+
+        def shared(row):
+            return rows.setdefault(tuple(row.items()), row)
+
+        self.mul = {key: shared(row) for key, row in mul.items()}
+        for i in range(dim):
+            self.mul[(dim, i)] = self.mul[(i, dim)] = shared({i: self.scale})
+        self.mul[(dim, dim)] = shared({dim: self.scale})
+        self.left = [{} for _ in range(dim)]
+        self.right = [{} for _ in range(dim)]
+        for (i, j), row in sorted(left.items()):
+            self.left[i][j] = shared(row)
+        for (j, i), row in sorted(right.items()):
+            self.right[i][j] = shared(row)
+        identity = {j: shared({j: self.scale}) for j in range(module_dim)}
+        self.left.append(identity)
+        self.right.append(identity)
+
+    def actions_commute(self, agree):
+        """True when agree(b_i x_j, x_j b_i) holds on every basis pair."""
+        return all(agree(left.get(j, _EMPTY), right.get(j, _EMPTY))
+                   for left, right in zip(self.left, self.right)
+                   for j in left.keys() | right.keys())
+
+
+def _act(rows, vec):
+    """sum of c * rows[j] over the entries c at j of vec; rows is one index's
+    action in IntegerTables, and the arithmetic is that of the operands."""
+    out = {}
+    for j, c in vec.items():
+        row = rows.get(j)
+        if row:
+            linalg.vec_add_scaled(out, row, c)
+    return out
 
 
 def _is_scalar(x):

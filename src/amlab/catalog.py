@@ -67,7 +67,7 @@ def validate_group_table(table, labels=None):
     if n == 0:
         raise PresentationError("empty group table")
     for row in table:
-        if len(row) != n or any(not isinstance(x, int) or not 0 <= x < n for x in row):
+        if len(row) != n or any(type(x) is not int or not 0 <= x < n for x in row):
             raise PresentationError("group table is not a square table of indices")
     for g in range(n):
         for h in range(n):
@@ -98,7 +98,10 @@ def validate_group_table(table, labels=None):
 
 
 def group_algebra(table, labels=None, mode=RATIONAL, tol=DEFAULT_FLOAT_TOL, name=None):
-    """l1 group algebra of a finite group given by its multiplication table."""
+    """l1 group algebra of a finite group given by its multiplication table.
+
+    validate_group_table proves the group laws, and one-term rows of unit
+    weight are submultiplicative, so the presentation is built unvalidated."""
     labels, identity, inverse = validate_group_table(table, labels)
     n = len(table)
     mul = {(g, h): {table[g][h]: 1} for g in range(n) for h in range(n)}
@@ -106,7 +109,7 @@ def group_algebra(table, labels=None, mode=RATIONAL, tol=DEFAULT_FLOAT_TOL, name
                                name=name or f"l1(G{n})",
                                meta={"group_table": [list(r) for r in table],
                                      "group_identity": identity,
-                                     "group_inverse": list(inverse)})
+                                     "group_inverse": list(inverse)}, validate=False)
 
 
 def cyclic_group_table(n):

@@ -11,9 +11,10 @@ and the five defect gates (derivation_defect ... trace_defect) evaluate
 the same terms on a map, so a map passes a gate exactly when it satisfies
 the equations classify_maps eliminates.
 
-In rational mode these run in ints: a bimodule's IntegerTables hold its
-algebra's and both action tables with one common denominator cleared, built
-once on first use.  The rows classify_maps eliminates are those tables'
+In rational mode these run in ints: a bimodule's algebra.IntegerTables hold
+its algebra's and both action tables with one common denominator cleared,
+built once on first use; the regular bimodule shares its algebra's, which
+validation built.  The rows classify_maps eliminates are those tables'
 ints, the gates clear a map's images and the weights once and divide once
 at the end, and the module actions (left_index, right_index,
 sandwich_action, image_action, inner_derivation) return Fractions only in
@@ -39,14 +40,12 @@ from itertools import chain
 
 from . import linalg, scalars
 from .algebra import (AlgebraError, AlgebraPresentation, BasisSpace, Element,
-                      PresentationError, multiply)
+                      IntegerTables, PresentationError, _EMPTY, _act, multiply)
 from .diagonals import defects
 from .maps import LinearMap, map_from_flat
 from .tensor import contract
 
 MAP_KINDS = ("derivation", "jordan", "lie", "central_trace")
-
-_EMPTY = {}
 
 
 class BimodulePresentation(BasisSpace):
@@ -69,12 +68,12 @@ class BimodulePresentation(BasisSpace):
 
     @classmethod
     def regular(cls, algebra, name=None):
-        """The algebra as a bimodule over itself."""
-        left = {key: dict(row) for key, row in algebra.mul.items()}
-        right = {key: dict(row) for key, row in algebra.mul.items()}
-        return cls(algebra, algebra.labels, left, right, algebra.weights,
-                   name or (f"{algebra.name} (regular)" if algebra.name else None),
-                   validate=False)
+        """The algebra as a bimodule over itself, sharing its integer_tables."""
+        X = cls(algebra, algebra.labels, algebra.mul, algebra.mul, algebra.weights,
+                name or (f"{algebra.name} (regular)" if algebra.name else None),
+                validate=False)
+        X.integer_tables = algebra.integer_tables
+        return X
 
     @cached_property
     def action_bound(self):
@@ -167,14 +166,14 @@ class BimodulePresentation(BasisSpace):
             (c, self.right_index(x.coeffs, i)) for i, c in a.coeffs.items()))
 
     def center(self):
-        """Basis of {x : b_i x == x b_i for every algebra basis element}."""
+        """Basis of {x : b_i x == x b_i for every algebra basis element}, from
+        integer_tables, whose scale the nullspace does not depend on."""
+        ints = self.integer_tables
         rows = []
-        for i in range(self.algebra.dim):
+        for left, right in zip(ints.left, ints.right):  # the unit's rows add none
             per_coord = {}
             for j in range(self.dim):
-                diff = dict(self.left.get((i, j), {}))
-                linalg.vec_add_scaled(diff, self.right.get((j, i), {}), -1)
-                for k, c in diff.items():
+                for k, c in linalg.vec_sub(left.get(j, _EMPTY), right.get(j, _EMPTY)).items():
                     per_coord.setdefault(k, {})[j] = c
             rows.extend(per_coord.values())
         return [Element(self, {k: self.scalar(c) for k, c in v.items()})
@@ -182,69 +181,11 @@ class BimodulePresentation(BasisSpace):
 
     def is_symmetric_bimodule(self):
         """True when every action commutes: b_i x_j == x_j b_i on basis pairs."""
-        for i in range(self.algebra.dim):
-            for j in range(self.dim):
-                diff = linalg.vec_sub(self.left.get((i, j), {}),
-                                      self.right.get((j, i), {}))
-                if not self._vec_small(diff):
-                    return False
-        return True
+        return self.integer_tables.actions_commute(self._agree)
 
     def __repr__(self):
         tag = self.name or f"{self.dim}-dim bimodule"
         return f"<BimodulePresentation {tag}>"
-
-
-class IntegerTables:
-    """A bimodule's structure and action tables with one common denominator cleared.
-
-    Every entry is scale times the true constant (scalars.clear_denominators):
-    an int in rational mode, where scale is the lcm D of the algebra's and
-    both actions' denominators, and the float itself in float mode, where
-    scale is 1.  mul maps (i, j) to the row of b_i b_j.  left[i] and right[i]
-    map each module index j with a nonzero action, in increasing order, to
-    the row of b_i x_j and of x_j b_i.  Equal rows are stored once (a group
-    algebra's tables hold one row per group element), so rows are read-only.
-
-    Index d = dim is the unit e adjoined in the unitization A#: mul holds A#'s
-    unit rows (d, i) and (i, d) -> {i: scale} and (d, d) -> {d: scale}, and
-    left[d] and right[d] map each of the module_dim module indices j to
-    {j: scale}, e acting as the identity.
-    """
-
-    __slots__ = ("scale", "mul", "left", "right")
-
-    def __init__(self, mode, mul, left, right, dim, module_dim):
-        self.scale, mul, left, right = scalars.clear_denominators(mode, mul, left, right)
-        rows = {}
-
-        def shared(row):
-            return rows.setdefault(tuple(row.items()), row)
-
-        self.mul = {key: shared(row) for key, row in mul.items()}
-        for i in range(dim):
-            self.mul[(dim, i)] = self.mul[(i, dim)] = shared({i: self.scale})
-        self.mul[(dim, dim)] = shared({dim: self.scale})
-        self.left = [{} for _ in range(dim)]
-        self.right = [{} for _ in range(dim)]
-        for (i, j), row in sorted(left.items()):
-            self.left[i][j] = shared(row)
-        for (j, i), row in sorted(right.items()):
-            self.right[i][j] = shared(row)
-        identity = {j: shared({j: self.scale}) for j in range(module_dim)}
-        self.left.append(identity)
-        self.right.append(identity)
-
-
-def _act(rows, vec):
-    """sum of c * rows[j] over the entries c at j of vec; rows is one index's
-    action in IntegerTables, and the arithmetic is that of the operands."""
-    out = {}
-    for j, c in vec.items():
-        row = rows.get(j)
-        if row:
-            linalg.vec_add_scaled(out, row, c)
-    return out
 
 
 def regular_bimodule(algebra, name=None):
@@ -360,8 +301,7 @@ def _identity_terms(mul, d, kind):
     elif kind == "lie":
         for i in range(d):
             for j in range(i + 1, d):
-                acc = dict(mul.get((i, j), _EMPTY))
-                linalg.vec_add_scaled(acc, mul.get((j, i), _EMPTY), -1)
+                acc = linalg.vec_sub(mul.get((i, j), _EMPTY), mul.get((j, i), _EMPTY))
                 terms = [(c, q, None) for q, c in acc.items()]
                 yield terms + [(-1, i, ("R", j)), (-1, j, ("L", i)),
                                (1, j, ("R", i)), (1, i, ("L", j))]
@@ -372,8 +312,7 @@ def _identity_terms(mul, d, kind):
     elif kind == "trace":
         for i in range(d):
             for j in range(i + 1, d):
-                acc = dict(mul.get((i, j), _EMPTY))
-                linalg.vec_add_scaled(acc, mul.get((j, i), _EMPTY), -1)
+                acc = linalg.vec_sub(mul.get((i, j), _EMPTY), mul.get((j, i), _EMPTY))
                 yield [(c, q, None) for q, c in acc.items()]
     else:
         raise ValueError(f"unknown identity kind {kind!r}")
@@ -391,7 +330,7 @@ def _identity_defect(D, kind):
     """
     X, dom = D.codomain, D.domain
     if kind == "trace":
-        ints = IntegerTables(X.mode, dom.mul, {}, {}, dom.dim, 0)
+        ints = dom.integer_tables
     elif isinstance(X, BimodulePresentation):
         X.adjoined_identity_index(dom)
         ints = X.integer_tables
@@ -566,12 +505,8 @@ def _prepare_diagonal(X, t, tolerance=None):
         X.adjoined_identity_index(t.space)  # raises when unrelated
         ts = t
     if "diag_worst" not in ts._cache:
-        worst = algebra.scalar(0)
-        for a in ts.space.basis_elements():
-            w = max(defects(ts, a))
-            if w > worst:
-                worst = w
-        ts._cache["diag_worst"] = worst
+        ts._cache["diag_worst"] = max([algebra.scalar(0)] + [
+            max(defects(ts, a)) for a in ts.space.basis_elements()])
     quality = DiagonalQuality(max_defect=ts._cache["diag_worst"],
                               symmetry_defect=ts.symmetry_defect(),
                               tolerance=tolerance if tolerance is not None else X.eps)
@@ -877,12 +812,8 @@ def net_boundedness(net, X, maps=()):
     sandwich_max = []
     image_norms = [[] for _ in maps]
     for t in net.entries:
-        worst = X.scalar(0)
-        for j in range(X.dim):
-            n = sandwich_action(X.basis_element(j), t).norm()
-            if n > worst:
-                worst = n
-        sandwich_max.append(worst)
+        sandwich_max.append(max([X.scalar(0)] + [
+            sandwich_action(X.basis_element(j), t).norm() for j in range(X.dim)]))
         for slot, D in enumerate(maps):
             image_norms[slot].append(image_action(D, t).norm())
     return {"sandwich_max": sandwich_max,

@@ -45,7 +45,8 @@ def _table(entries, what, layout, scalar):
                  f"{what} entries must be {layout}")
         i, j, k, c = entry
         for n in (i, j, k):
-            _require(isinstance(n, int), f"basis index {n!r} in a {what} entry must be an integer")
+            _require(type(n) is int, f"basis index {n!r} in a {what} entry must be an "
+                                     f"integer (true and false are not indices)")
         row = table.setdefault((i, j), {})
         row[k] = row.get(k, 0) + scalar(c)
     return table
@@ -118,7 +119,7 @@ def element_from_dict(data, space):
         _require(isinstance(entry, list) and len(entry) == 2,
                  "element coeffs must be [index, coeff] pairs")
         i, c = entry
-        _require(isinstance(i, int), "element indices must be integers")
+        _require(type(i) is int, "element indices must be integers")
         coeffs[i] = coeffs.get(i, 0) + space.scalar(c)
     return space.element(coeffs)
 
@@ -155,8 +156,7 @@ def tensor_from_dict(data, space):
         _require(isinstance(entry, list) and len(entry) == 3,
                  "tensor terms must be [i, j, coeff] triples")
         i, j, c = entry
-        _require(isinstance(i, int) and isinstance(j, int),
-                 "tensor leg indices must be integers")
+        _require(type(i) is type(j) is int, "tensor leg indices must be integers")
         cleaned.append((i, j, c))
     return Tensor2.from_terms(space, cleaned)
 
@@ -260,7 +260,12 @@ def linear_map_from_dict(data, domain, codomain):
 
 def group_from_dict(data):
     table = _as_list(data, "table")
+    _require(all(isinstance(row, list) and all(type(g) is int for g in row) for row in table),
+             "group table must be a list of rows of integer indices")
     labels = data.get("labels")
+    _require(labels is None or isinstance(labels, list)
+             and all(isinstance(label, str) for label in labels),
+             "group labels must be a list of strings")
     return table, labels
 
 

@@ -140,6 +140,56 @@ def test_malformed_table_entries_keep_their_messages(tmp_path, m2_file, capsys):
         assert f"{side} action entries must be {layout}" in capsys.readouterr().err
 
 
+# JSON true and false load as bools, which Python counts as the ints 1 and 0
+
+def test_boolean_mul_index_exits_2(tmp_path, capsys):
+    path = write(tmp_path / "A.json", {"basis": ["a", "b"],
+                                       "mul": [[True, True, 1, "1"], [0, 0, 0, "1"]]})
+    assert main(["center", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: basis index True") and "true and false" in err
+    assert "Traceback" not in err
+
+
+def test_boolean_element_index_exits_2(tmp_path, m2_file, capsys):
+    z = write(tmp_path / "z.json", {"coeffs": [[True, "1"]]})
+    assert main(["witness", m2_file, z]) == 2
+    err = capsys.readouterr().err
+    assert "element indices must be integers" in err and "Traceback" not in err
+
+
+def test_boolean_tensor_leg_exits_2(tmp_path, m2_file, capsys):
+    terms = serialize.tensor_to_dict(matrix_diagonal(2))["terms"]
+    assert terms[0][0] == 0
+    terms[0][0] = False
+    t_file = write(tmp_path / "t.json", {"terms": terms})
+    map_file = write(tmp_path / "D.json", {"matrix": [["0"] * 4 for _ in range(4)]})
+    assert main(["decompose-lie", m2_file, "regular", map_file, t_file]) == 2
+    err = capsys.readouterr().err
+    assert "tensor leg indices must be integers" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("group, message", [
+    ({"table": [[False]]}, "group table must be a list of rows of integer indices"),
+    ({"table": [5]}, "group table must be a list of rows of integer indices"),
+    ({"table": [[0, 1], [1, "0"]]}, "group table must be a list of rows of integer indices"),
+    ({"table": [[0]], "labels": 5}, "group labels must be a list of strings"),
+    ({"table": [[0, 1], [1, 0]], "labels": ["a", 3]}, "group labels must be a list of strings"),
+], ids=["boolean-entry", "row-not-a-list", "string-entry", "labels-not-a-list",
+        "non-string-label"])
+def test_malformed_group_file_exits_2(tmp_path, group, message, capsys):
+    path = write(tmp_path / "G.json", group)
+    assert main(["build-diagonal", "group", path]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_non_associative_group_table_exits_3(tmp_path, capsys):
+    path = write(tmp_path / "G.json", {"table": [[1, 0], [0, 0]]})
+    assert main(["build-diagonal", "group", path]) == 3
+    assert "group table is not associative" in capsys.readouterr().err
+
+
 def numbers_in(obj):
     if isinstance(obj, dict):
         for v in obj.values():

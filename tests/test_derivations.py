@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -19,7 +20,7 @@ from amlab import (AlgebraError, AlgebraPresentation, BimodulePresentation,
                    upper_triangular_algebra)
 
 from amlab.maps import flatten_map
-from amlab import derivations, linalg, scalars
+from amlab import derivations, linalg, scalars, serialize
 
 
 def rand_element(rng, space, lo=-3, hi=3):
@@ -913,6 +914,138 @@ def test_the_unit_row_of_the_integer_tables_acts_as_the_identity():
         assert ints.mul[(d, d)] == {d: ints.scale}
         for i in range(d):
             assert ints.mul[(d, i)] == ints.mul[(i, d)] == {i: ints.scale}
+
+
+# -- one integer table per algebra ---------------------------------------------------------
+
+# The tables as built when each bimodule cleared its own: every table cleared from
+# its own copy of the rows, then one copy kept per distinct row.
+
+def ref_integer_tables(mode, mul, left, right, dim, module_dim):
+    scale, mul, left, right = scalars.clear_denominators(
+        mode, *({key: dict(row) for key, row in t.items()} for t in (mul, left, right)))
+    rows = {}
+
+    def shared(row):
+        return rows.setdefault(tuple(row.items()), row)
+
+    mul = {key: shared(row) for key, row in mul.items()}
+    for i in range(dim):
+        mul[(dim, i)] = mul[(i, dim)] = shared({i: scale})
+    mul[(dim, dim)] = shared({dim: scale})
+    left_rows, right_rows = [{} for _ in range(dim)], [{} for _ in range(dim)]
+    for (i, j), row in sorted(left.items()):
+        left_rows[i][j] = shared(row)
+    for (j, i), row in sorted(right.items()):
+        right_rows[i][j] = shared(row)
+    identity = {j: shared({j: scale}) for j in range(module_dim)}
+    return scale, mul, left_rows + [identity], right_rows + [identity]
+
+
+def same_nested(got, want):
+    """Equal values of equal types, with dict keys in the same order."""
+    assert type(got) is type(want)
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            same_nested(got[key], want[key])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            same_nested(g, w)
+    else:
+        assert got == want
+
+
+def distinct_rows(mul, left, right):
+    return len({id(row) for row in chain(mul.values(), *(r.values() for r in left + right))})
+
+
+def integer_table_cases(mode):
+    """(tables, their reference) for each gate case's algebra and module."""
+    seen = set()
+    for X in gate_cases(mode):
+        A = X.algebra
+        if id(A) not in seen:
+            seen.add(id(A))
+            yield A.integer_tables, ref_integer_tables(mode, A.mul, A.mul, A.mul, A.dim, A.dim)
+        yield X.integer_tables, ref_integer_tables(mode, A.mul, X.left, X.right, A.dim, X.dim)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_integer_tables_match_the_per_bimodule_reference(mode):
+    scales = set()
+    for ints, (scale, mul, left, right) in integer_table_cases(mode):
+        same_nested(ints.scale, scale)
+        same_nested(ints.mul, mul)
+        same_nested(ints.left, left)
+        same_nested(ints.right, right)
+        assert distinct_rows(ints.mul, ints.left, ints.right) == distinct_rows(mul, left, right)
+        scales.add(scale)
+    assert (scales == {1}) == (mode == "float")  # the rescaled M3 cases clear denominators
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_the_regular_bimodule_shares_its_algebras_integer_tables(mode):
+    for X in gate_cases(mode):
+        A = X.algebra
+        assert regular_bimodule(A).integer_tables is A.integer_tables
+        assert regular_bimodule(A).left == regular_bimodule(A).right == A.mul
+
+
+def test_a_load_and_its_regular_bimodule_clear_the_table_once(monkeypatch):
+    cleared = []
+    original = scalars.clear_denominators
+
+    def counting(mode, *tables):
+        cleared.extend(row for t in tables for row in (t.values() if isinstance(t, dict) else t))
+        return original(mode, *tables)
+
+    monkeypatch.setattr(scalars, "clear_denominators", counting)
+    for mode in ("rational", "float"):
+        for A in (rescaled_m3(mode), group_algebra(*symmetric_group_table(3), mode=mode)):
+            data = serialize.algebra_to_dict(A)
+            cleared.clear()
+            B = serialize.algebra_from_dict(data, mode)
+            ints = regular_bimodule(B).integer_tables
+            assert len(cleared) == len(B.mul)
+            assert ints is B.integer_tables
+
+
+def ref_is_symmetric_bimodule(X):
+    """b_i x_j == x_j b_i on basis pairs, on the Fraction (or float) tables."""
+    return all(X._vec_small(linalg.vec_sub(X.left.get((i, j), {}), X.right.get((j, i), {})))
+               for i in range(X.algebra.dim) for j in range(X.dim))
+
+
+def ref_is_commutative(A):
+    return all(A._vec_small(linalg.vec_sub(row, A.product_indices(j, i)))
+               for (i, j), row in A.mul.items())
+
+
+def nearly_commutative(mode, delta):
+    """a a = a, a b = b, b a = (1 + delta) b: commutative up to delta (and
+    associative only up to delta, so unvalidated)."""
+    return AlgebraPresentation(("a", "b"), {(0, 0): {0: 1}, (0, 1): {1: 1},
+                                            (1, 0): {1: 1 + delta}},
+                               mode=mode, validate=False)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_symmetry_and_commutativity_match_the_fraction_reference(mode):
+    delta = Fraction(1, 10 ** 12)
+    modules = gate_cases(mode)
+    algebras = ([X.algebra for X in modules]
+                + [group_algebra(*cyclic_group_table(4), mode=mode),
+                   nearly_commutative(mode, delta), nearly_commutative(mode, 10 ** 6 * delta)])
+    modules += [regular_bimodule(A) for A in algebras[-3:]]
+    modules.append(direct_sum_bimodule([modules[-3], modules[-3]]))
+    got = [X.is_symmetric_bimodule() for X in modules]
+    assert got == [ref_is_symmetric_bimodule(X) for X in modules]
+    assert got[-4:] == [True, mode == "float", False, True]
+    got = [A.is_commutative() for A in algebras]
+    assert got == [ref_is_commutative(A) for A in algebras]
+    assert got[-3:] == [True, mode == "float", False] and not any(got[:-3])
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])

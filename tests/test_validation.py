@@ -160,6 +160,40 @@ def test_clear_denominators_scales_every_table_by_one_lcm():
     assert clear_denominators(FLOAT, a, b) == (1, a, b)
 
 
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_a_group_algebra_is_built_on_the_group_tables_proof(mode, monkeypatch):
+    # validate_group_table proves associativity, the unit and inverses; one-term
+    # rows of unit weight are submultiplicative, so nothing is left to validate
+    for table, labels in (symmetric_group_table(3), symmetric_group_table(4),
+                          cyclic_group_table(5)):
+        visited = []
+        original = AlgebraPresentation._check_triple
+        monkeypatch.setattr(AlgebraPresentation, "_check_triple",
+                            lambda self, i, j, k: visited.append(1) or original(self, i, j, k))
+        G = group_algebra(table, labels, mode=mode)
+        assert not visited
+        monkeypatch.undo()
+        validated = AlgebraPresentation(G.labels, G.mul, G.weights, G.unit, mode=mode)
+        assert G.structurally_equal(validated)
+        assert (G.warnings, G.submultiplicative) == (validated.warnings, True)
+
+
+def test_a_non_associative_group_table_is_still_rejected():
+    with pytest.raises(PresentationError, match="group table is not associative"):
+        group_algebra([[1, 0], [0, 0]])
+
+
+@pytest.mark.parametrize("index", [True, False])
+def test_a_boolean_is_not_a_basis_index(index):
+    A = matrix_algebra(2)
+    with pytest.raises(SchemaError, match="basis index"):
+        A.element({index: 1})
+    with pytest.raises(SchemaError, match="basis index"):
+        AlgebraPresentation(["a", "b"], {(index, 0): {0: 1}})
+    with pytest.raises(PresentationError, match="square table of indices"):
+        group_algebra([[index]])
+
+
 @pytest.mark.parametrize("tol", [-1, math.nan, math.inf, -math.inf])
 def test_bad_tolerance_is_a_schema_error(tol):
     with pytest.raises(SchemaError, match="tolerance"):
