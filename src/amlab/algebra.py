@@ -304,6 +304,22 @@ def _act(rows, vec):
     return out
 
 
+def _block_layout(spaces):
+    """(labels, weights, offsets) of the l1 direct sum, labels prefixed by block number."""
+    labels, weights, offsets = [], [], []
+    for bi, space in enumerate(spaces):
+        offsets.append(len(labels))
+        labels.extend(f"{bi}:{lab}" for lab in space.labels)
+        weights.extend(space.weights)
+    return labels, weights, offsets
+
+
+def _shifted(table, first, second, row):
+    """table {(i, j): {k: c}} with i, j and k shifted by first, second and row."""
+    return {(i + first, j + second): {k + row: c for k, c in entry.items()}
+            for (i, j), entry in table.items()}
+
+
 def _is_scalar(x):
     return isinstance(x, (int, float, Fraction, str)) and not isinstance(x, bool)
 

@@ -7,7 +7,8 @@ l1 norm of the coefficient vector.
 
 from itertools import permutations
 
-from .algebra import AlgebraPresentation, PresentationError
+from .algebra import (AlgebraPresentation, PresentationError, _block_layout,
+                      _shifted)
 from .maps import LinearMap
 from .scalars import RATIONAL, DEFAULT_FLOAT_TOL
 
@@ -160,26 +161,13 @@ def direct_sum_algebra(blocks, mode=None, name=None):
     for b in blocks:
         if b.mode != mode:
             raise PresentationError("direct-sum blocks disagree on scalar mode")
-    labels = []
-    weights = []
-    offsets = []
-    off = 0
-    for bi, b in enumerate(blocks):
-        offsets.append(off)
-        labels.extend(f"{bi}:{lab}" for lab in b.labels)
-        weights.extend(b.weights)
-        off += b.dim
+    labels, weights, offsets = _block_layout(blocks)
     mul = {}
-    for bi, b in enumerate(blocks):
-        o = offsets[bi]
-        for (i, j), row in b.mul.items():
-            mul[(o + i, o + j)] = {o + k: c for k, c in row.items()}
+    for o, b in zip(offsets, blocks):
+        mul.update(_shifted(b.mul, o, o, o))
     unit = None
     if all(b.unit is not None for b in blocks):
-        unit = {}
-        for bi, b in enumerate(blocks):
-            for k, c in b.unit.items():
-                unit[offsets[bi] + k] = c
+        unit = {o + k: c for o, b in zip(offsets, blocks) for k, c in b.unit.items()}
     tol = max(b.tol for b in blocks)
     return AlgebraPresentation(labels, mul, weights, unit, mode, tol,
                                name or "+".join(b.name or "?" for b in blocks),

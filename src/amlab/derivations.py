@@ -40,7 +40,8 @@ from itertools import chain
 
 from . import linalg, scalars
 from .algebra import (AlgebraError, AlgebraPresentation, BasisSpace, Element,
-                      IntegerTables, PresentationError, _EMPTY, _act, multiply)
+                      IntegerTables, PresentationError, _EMPTY, _act, _block_layout,
+                      _shifted, multiply)
 from .diagonals import defects
 from .maps import LinearMap, map_from_flat
 from .tensor import contract
@@ -68,10 +69,11 @@ class BimodulePresentation(BasisSpace):
 
     @classmethod
     def regular(cls, algebra, name=None):
-        """The algebra as a bimodule over itself, sharing its integer_tables."""
-        X = cls(algebra, algebra.labels, algebra.mul, algebra.mul, algebra.weights,
+        """The algebra as a bimodule over itself, sharing its table and integer_tables."""
+        X = cls(algebra, algebra.labels, {}, {}, algebra.weights,
                 name or (f"{algebra.name} (regular)" if algebra.name else None),
                 validate=False)
+        X.left = X.right = algebra.mul
         X.integer_tables = algebra.integer_tables
         return X
 
@@ -200,23 +202,12 @@ def direct_sum_bimodule(modules, name=None):
     for m in modules:
         if m.algebra is not algebra:
             raise AlgebraError("summands are modules over different algebras")
-    labels = []
-    weights = []
-    offsets = []
-    off = 0
-    for bi, m in enumerate(modules):
-        offsets.append(off)
-        labels.extend(f"{bi}:{lab}" for lab in m.labels)
-        weights.extend(m.weights)
-        off += m.dim
+    labels, weights, offsets = _block_layout(modules)
     left = {}
     right = {}
-    for bi, m in enumerate(modules):
-        o = offsets[bi]
-        for (i, j), row in m.left.items():
-            left[(i, o + j)] = {o + k: c for k, c in row.items()}
-        for (j, i), row in m.right.items():
-            right[(o + j, i)] = {o + k: c for k, c in row.items()}
+    for o, m in zip(offsets, modules):
+        left.update(_shifted(m.left, 0, o, o))
+        right.update(_shifted(m.right, o, 0, o))
     out = BimodulePresentation(algebra, labels, left, right, weights,
                                name or "module sum", validate=False)
     out.block_offsets = offsets

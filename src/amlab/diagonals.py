@@ -4,8 +4,8 @@ For a tensor t and a test element a the four defects are
 
     d1 = || a t - t a ||            (two-sided action)
     d2 = || contract(t) a - a ||    (left approximate identity of the contraction)
-    d3 = || a o t - t o a ||        (opposite-algebra action)
-    d4 = || a contract_swapped(t) - a ||
+    d3 = || a o t - t o a ||        (opposite-algebra action: d1 of flip(t))
+    d4 = || a contract_swapped(t) - a ||  (contract_swapped(t) = contract(flip(t)))
 
 A finite family of tensors together with a finite test set and a tolerance
 stands in for an approximate-diagonal net: the claim "defects -> 0" becomes
@@ -22,17 +22,18 @@ from .catalog import (direct_sum_algebra, group_algebra, matrix_algebra,
                       matrix_unit_index)
 from .maps import check_epimorphism
 from .scalars import RATIONAL
-from .tensor import (Tensor2, contract, contract_swapped, elementary,
-                     left_action, opposite_left_action, opposite_right_action,
-                     right_action)
+from .tensor import (Tensor2, contract, elementary, flip, left_action,
+                     opposite_right_action, right_action)
 
 
 def defects(t, a):
-    """The defect quadruple (d1, d2, d3, d4) of tensor t at test element a."""
+    """The defect quadruple (d1, d2, d3, d4) of tensor t at test element a; d3 and d4
+    read s = flip(t), and d3 flips back so that its norm sums in t's term order."""
+    s = flip(t)
     d1 = (left_action(a, t) - right_action(t, a)).proj_norm()
     d2 = (multiply(contract(t), a) - a).norm()
-    d3 = (opposite_left_action(a, t) - opposite_right_action(t, a)).proj_norm()
-    d4 = (multiply(a, contract_swapped(t)) - a).norm()
+    d3 = flip(left_action(a, s) - right_action(s, a)).proj_norm()
+    d4 = (multiply(a, contract(s)) - a).norm()
     return d1, d2, d3, d4
 
 

@@ -173,12 +173,9 @@ def net_from_dict(data, space):
     from .diagonals import DiagonalNet
     entries = [tensor_from_dict({"terms": terms}, space)
                for terms in _as_list(data, "entries")]
-    test_set = []
-    labels = []
-    for k, item in enumerate(_as_list(data, "test_set")):
-        test_set.append(element_from_dict(item, space))
-        labels.append(str(item.get("label", f"a{k}")))
+    test_set, labels = element_list_from_dict({"elements": _as_list(data, "test_set")}, space)
     tolerance = space.scalar(data.get("tolerance", 0))
+    _require(tolerance >= 0, "tolerance must be nonnegative")
     return DiagonalNet(entries, test_set, tolerance, labels)
 
 

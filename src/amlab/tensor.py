@@ -9,14 +9,14 @@ Leg conventions (a an algebra element, t a tensor):
 
     left_action(a, t):            a (b (x) c) = ab (x) c
     right_action(t, a):           (b (x) c) a = b (x) ca
-    opposite_left_action(a, t):   a o (b (x) c) = b (x) ac
-    opposite_right_action(t, a):  (b (x) c) o a = ba (x) c
+    opposite_left_action(a, t):   a o (b (x) c) = b (x) ac    = flip(a flip(t))
+    opposite_right_action(t, a):  (b (x) c) o a = ba (x) c    = flip(flip(t) a)
     contract(t):                  b (x) c -> bc
-    contract_swapped(t):          b (x) c -> cb
+    contract_swapped(t):          b (x) c -> cb               = contract(flip(t))
     flip(t):                      b (x) c -> c (x) b
 """
 
-from . import linalg
+from . import linalg, scalars
 from .algebra import AlgebraError, AlgebraPresentation, Element, same_space
 
 
@@ -123,41 +123,46 @@ def zero_tensor(space):
     return Tensor2(space, {})
 
 
-def _act(a, t, leg, side):
-    """Multiply one leg of every term by a: leg 0/1, side 'l' puts a on the left."""
+def _act(a, t, side):
+    """a times each left leg (side 'l') or each right leg times a, on the algebra's
+    integer_tables, where right[l][i] is the row of b_i b_l and left[r][i] of b_r b_i."""
     if a.space is not t.space:
         raise AlgebraError("element and tensor live over different presentations")
     space = t.space
+    ints = space.integer_tables
+    a_scale, (av,) = scalars.clear_denominators(space.mode, [a.coeffs])
+    t_scale, (tv,) = scalars.clear_denominators(space.mode, [t.coeffs])
     out = {}
-    for (l, r), ct in t.coeffs.items():
-        target = l if leg == 0 else r
-        for i, ca in a.coeffs.items():
-            row = space.product_indices(i, target) if side == "l" else \
-                space.product_indices(target, i)
+    for (l, r), ct in tv.items():
+        rows = ints.right[l] if side == "l" else ints.left[r]
+        for i, ca in av.items():
+            row = rows.get(i)
             if row:
-                linalg.vec_add_scaled(out, {((k, r) if leg == 0 else (l, k)): ck
+                linalg.vec_add_scaled(out, {((k, r) if side == "l" else (l, k)): ck
                                             for k, ck in row.items()}, ca * ct)
-    return Tensor2(space, out)
+    scale = ints.scale * a_scale * t_scale
+    return Tensor2(space, {key: scalars.unscale(space.mode, c, scale)
+                           for key, c in out.items()})
 
 
 def left_action(a, t):
     """a (b (x) c) = ab (x) c."""
-    return _act(a, t, 0, "l")
+    return _act(a, t, "l")
 
 
 def right_action(t, a):
     """(b (x) c) a = b (x) ca."""
-    return _act(a, t, 1, "r")
+    return _act(a, t, "r")
 
 
 def opposite_left_action(a, t):
     """a o (b (x) c) = b (x) ac."""
-    return _act(a, t, 1, "l")
+    return flip(left_action(a, flip(t)))
 
 
 def opposite_right_action(t, a):
     """(b (x) c) o a = ba (x) c."""
-    return _act(a, t, 0, "r")
+    return flip(right_action(flip(t), a))
 
 
 def flip(t):
@@ -181,14 +186,7 @@ def contract(t):
 
 def contract_swapped(t):
     """Multiply the legs in reverse order: b (x) c -> cb."""
-    if "contract_swapped" not in t._cache:
-        out = {}
-        for (i, j), c in t.coeffs.items():
-            row = t.space.product_indices(j, i)
-            if row:
-                linalg.vec_add_scaled(out, row, c)
-        t._cache["contract_swapped"] = Element(t.space, out)
-    return t._cache["contract_swapped"]
+    return contract(flip(t))
 
 
 def proj_norm(t):

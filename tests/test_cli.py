@@ -79,6 +79,17 @@ def test_bad_tolerance_exits_2(m2_file, tol, capsys):
     assert "tolerance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["-1", -0.5, float("nan")])
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_bad_net_tolerance_exits_2(m2_file, good_net_file, tmp_path, mode, tol, capsys):
+    # a bad value in the net file is bad input, like a bad --tol
+    net = serialize.load_json(good_net_file)
+    net["tolerance"] = tol
+    path = write(tmp_path / "bad_tolerance.json", net)
+    assert main(["check-diagonal", m2_file, path, "--mode", mode]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("basis", [[["a"]], [1], [None]])
 def test_non_string_basis_label_exits_2(tmp_path, basis, capsys):
     path = write(tmp_path / "A.json", {"basis": basis, "mul": [[0, 0, 0, "1"]]})

@@ -989,8 +989,9 @@ def test_integer_tables_match_the_per_bimodule_reference(mode):
 def test_the_regular_bimodule_shares_its_algebras_integer_tables(mode):
     for X in gate_cases(mode):
         A = X.algebra
-        assert regular_bimodule(A).integer_tables is A.integer_tables
-        assert regular_bimodule(A).left == regular_bimodule(A).right == A.mul
+        R = regular_bimodule(A)
+        assert R.integer_tables is A.integer_tables
+        assert R.left is R.right is A.mul  # b_i x_j and x_j b_i are both mul[(i, j)]
 
 
 def test_a_load_and_its_regular_bimodule_clear_the_table_once(monkeypatch):

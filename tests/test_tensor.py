@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from amlab import (AlgebraError, AlgebraPresentation, LinearMap, Tensor2, block_projection, contract,
-                   contract_swapped, direct_sum_algebra, elementary, flip,
-                   group_algebra, left_action, matrix_algebra, matrix_diagonal,
-                   multiply, norm, opposite_left_action, opposite_right_action,
-                   proj_norm, pushforward_diagonal, right_action,
-                   symmetric_group_table, unitize, zero_tensor)
+from amlab import (AlgebraError, AlgebraPresentation, Element, LinearMap, Tensor2,
+                   block_projection, contract, contract_swapped, defects,
+                   direct_sum_algebra, elementary, flip, group_algebra, left_action,
+                   linalg, matrix_algebra, matrix_diagonal, multiply, norm,
+                   opposite_left_action, opposite_right_action, proj_norm,
+                   pushforward_diagonal, right_action, symmetric_group_table, unitize,
+                   zero_tensor)
 
 
 def rand_element(rng, algebra, lo=-3, hi=3):
@@ -235,6 +236,13 @@ def ref_pushforward(theta, t):
     return out
 
 
+# each leg action as f(a, t), with the leg and side of the reference loops
+LEG_ACTIONS = [(lambda a, t: left_action(a, t), 0, "l"),
+               (lambda a, t: right_action(t, a), 1, "r"),
+               (lambda a, t: opposite_left_action(a, t), 1, "l"),
+               (lambda a, t: opposite_right_action(t, a), 0, "r")]
+
+
 def same_table(got, want, mode):
     assert list(got.items()) == list(want.items())
     assert all(type(c) is (Fraction if mode == "rational" else float) for c in got.values())
@@ -266,16 +274,12 @@ def test_tensor_loops_match_the_hand_accumulated_reference(mode):
     rng = random.Random(61)
     m2, m3 = matrix_algebra(2, mode=mode), matrix_algebra(3, mode=mode)
     s3 = group_algebra(*symmetric_group_table(3), mode=mode)
-    actions = [(lambda a, t: left_action(a, t), 0, "l"),
-               (lambda a, t: right_action(t, a), 1, "r"),
-               (lambda a, t: opposite_left_action(a, t), 1, "l"),
-               (lambda a, t: opposite_right_action(t, a), 0, "r")]
     for A in (m3, s3, unitize(s3), on_new_basis(m3)):
         for _ in range(4):
             a = A.element({i: rand_fraction(rng) for i in range(A.dim) if rng.random() < 0.5})
             t = Tensor2(A, {(rng.randrange(A.dim), rng.randrange(A.dim)): rand_fraction(rng)
                             for _ in range(12)})
-            for action, leg, side in actions:
+            for action, leg, side in LEG_ACTIONS:
                 same_table(action(a, t).coeffs, ref_act(a, t, leg, side), mode)
             # repeated pairs, one of them cancelling to zero and coming back
             terms = [(rng.randrange(A.dim), rng.randrange(A.dim), rand_fraction(rng))
@@ -297,3 +301,91 @@ def test_tensor_loops_match_the_hand_accumulated_reference(mode):
         t = Tensor2(A, {(rng.randrange(A.dim), rng.randrange(A.dim)): rand_fraction(rng)
                         for _ in range(20)})
         same_table(pushforward_diagonal(theta, t).coeffs, ref_pushforward(theta, t), mode)
+
+
+# -- the leg actions on integer_tables and the flips against the Fraction-row loops ---------
+
+# One loop for all four leg actions, reading the Fraction (or float) rows of
+# product_indices, and a contraction loop of its own for contract_swapped: the code
+# the two integer leg actions and the flips replaced.
+
+def fraction_row_act(a, t, leg, side):
+    space = t.space
+    out = {}
+    for (l, r), ct in t.coeffs.items():
+        target = l if leg == 0 else r
+        for i, ca in a.coeffs.items():
+            row = space.product_indices(i, target) if side == "l" else \
+                space.product_indices(target, i)
+            if row:
+                linalg.vec_add_scaled(out, {((k, r) if leg == 0 else (l, k)): ck
+                                            for k, ck in row.items()}, ca * ct)
+    return Tensor2(space, out)
+
+
+def fraction_row_contract_swapped(t):
+    out = {}
+    for (i, j), c in t.coeffs.items():
+        row = t.space.product_indices(j, i)
+        if row:
+            linalg.vec_add_scaled(out, row, c)
+    return Element(t.space, out)
+
+
+def fraction_row_defects(t, a):
+    d1 = (fraction_row_act(a, t, 0, "l") - fraction_row_act(a, t, 1, "r")).proj_norm()
+    d2 = (multiply(contract(t), a) - a).norm()
+    d3 = (fraction_row_act(a, t, 1, "l") - fraction_row_act(a, t, 0, "r")).proj_norm()
+    d4 = (multiply(a, fraction_row_contract_swapped(t)) - a).norm()
+    return d1, d2, d3, d4
+
+
+def bit_for_bit(got, want):
+    """Same keys in the same order, and values of the same type and repr: a float's
+    repr is exact, so this is bit identity in float mode."""
+    assert list(got) == list(want)
+    assert [(type(c), repr(c)) for c in got.values()] == \
+        [(type(c), repr(c)) for c in want.values()]
+
+
+def weighted(A, weights=(1.5, 2.25, Fraction(1, 3))):
+    """A with non-unit weights, under which a norm's last bit depends on the
+    order of its products in float mode."""
+    return AlgebraPresentation(A.labels, A.mul, [weights[k % 3] for k in range(A.dim)],
+                               A.unit, A.mode)
+
+
+def leg_action_cases(mode, rng):
+    m3 = matrix_algebra(3, mode=mode)
+    s3 = group_algebra(*symmetric_group_table(3), mode=mode)
+    algebras = [m3, s3, unitize(m3), unitize(s3), direct_sum_algebra([m3, s3]),
+                on_new_basis(m3)]
+    for A in algebras + [weighted(A) for A in algebras]:
+        for _ in range(6):
+            a = A.element({i: rand_fraction(rng) for i in range(A.dim) if rng.random() < 0.5})
+            t = Tensor2(A, {(rng.randrange(A.dim), rng.randrange(A.dim)): rand_fraction(rng)
+                            for _ in range(12)})
+            yield a, t
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_leg_actions_and_flips_match_the_fraction_row_loops(mode):
+    for a, t in leg_action_cases(mode, random.Random(67)):
+        for action, leg, side in LEG_ACTIONS:
+            bit_for_bit(action(a, t).coeffs, fraction_row_act(a, t, leg, side).coeffs)
+        bit_for_bit(contract_swapped(t).coeffs, fraction_row_contract_swapped(t).coeffs)
+        bit_for_bit(dict(enumerate(defects(t, a))), dict(enumerate(fraction_row_defects(t, a))))
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_leg_actions_read_no_product_indices(mode, monkeypatch):
+    cases = list(leg_action_cases(mode, random.Random(71)))
+    want = [[fraction_row_act(a, t, leg, side) for _, leg, side in LEG_ACTIONS]
+            for a, t in cases]
+
+    def refuse(self, i, j):
+        raise AssertionError("the leg actions read integer_tables, not product_indices")
+
+    monkeypatch.setattr(AlgebraPresentation, "product_indices", refuse)
+    for (a, t), expected in zip(cases, want):
+        assert [action(a, t) for action, _, _ in LEG_ACTIONS] == expected
