@@ -27,36 +27,29 @@ def matrix_unit_index(n, i, j):
     return (i - 1) * n + (j - 1)
 
 
+def _matrix_unit_algebra(n, pairs, mode, tol, name, meta):
+    """The span of the matrix units E_ij, (i, j) in pairs (row-major), with
+    E_ij E_jl = E_il whenever E_jl is in the span too."""
+    index = {p: k for k, p in enumerate(pairs)}
+    mul = {(index[(i, j)], index[(j, l)]): {index[(i, l)]: 1}
+           for i, j in pairs for l in range(1, n + 1) if (j, l) in index}
+    unit = {index[(i, i)]: 1 for i in range(1, n + 1)}
+    return AlgebraPresentation([matrix_unit_label(i, j) for i, j in pairs], mul,
+                               unit=unit, mode=mode, tol=tol, name=name, meta=meta)
+
+
 def matrix_algebra(n, mode=RATIONAL, tol=DEFAULT_FLOAT_TOL):
     """The n-by-n matrix algebra on the matrix-unit basis, l1 norm on entries."""
     if n < 1:
         raise ValueError("matrix algebra needs n >= 1")
-    labels = [matrix_unit_label(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    mul = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for l in range(1, n + 1):
-                # E_ij E_jl = E_il
-                mul[(matrix_unit_index(n, i, j), matrix_unit_index(n, j, l))] = \
-                    {matrix_unit_index(n, i, l): 1}
-    unit = {matrix_unit_index(n, i, i): 1 for i in range(1, n + 1)}
-    return AlgebraPresentation(labels, mul, unit=unit, mode=mode, tol=tol,
-                               name=f"M{n}", meta={"matrix_n": n})
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    return _matrix_unit_algebra(n, pairs, mode, tol, f"M{n}", {"matrix_n": n})
 
 
 def upper_triangular_algebra(n, mode=RATIONAL, tol=DEFAULT_FLOAT_TOL):
     """Upper-triangular n-by-n matrices on the matrix units E_ij with i <= j."""
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-    index = {p: k for k, p in enumerate(pairs)}
-    labels = [matrix_unit_label(i, j) for i, j in pairs]
-    mul = {}
-    for (i, j) in pairs:
-        for (k, l) in pairs:
-            if j == k:
-                mul[(index[(i, j)], index[(k, l)])] = {index[(i, l)]: 1}
-    unit = {index[(i, i)]: 1 for i in range(1, n + 1)}
-    return AlgebraPresentation(labels, mul, unit=unit, mode=mode, tol=tol,
-                               name=f"T{n}", meta={"triangular_n": n})
+    return _matrix_unit_algebra(n, pairs, mode, tol, f"T{n}", {"triangular_n": n})
 
 
 def validate_group_table(table, labels=None):
@@ -148,7 +141,7 @@ def symmetric_group_table(n):
     return table, labels
 
 
-def direct_sum_algebra(blocks, mode=None, name=None):
+def direct_sum_algebra(blocks, name=None):
     """l1 direct sum of finitely many presentations; cross products vanish.
 
     Basis labels are prefixed with the block number; meta records the block
@@ -157,10 +150,9 @@ def direct_sum_algebra(blocks, mode=None, name=None):
     """
     if not blocks:
         raise ValueError("direct sum needs at least one block")
-    mode = mode or blocks[0].mode
-    for b in blocks:
-        if b.mode != mode:
-            raise PresentationError("direct-sum blocks disagree on scalar mode")
+    mode = blocks[0].mode
+    if any(b.mode != mode for b in blocks):
+        raise PresentationError("direct-sum blocks disagree on scalar mode")
     labels, weights, offsets = _block_layout(blocks)
     mul = {}
     for o, b in zip(offsets, blocks):

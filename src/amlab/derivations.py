@@ -23,15 +23,15 @@ same float operations.  The tables also carry the adjoined unit of the
 unitization A# as index d = dim A, acting on the module as the identity, so
 a map or tensor over A# runs through the same rows as one over A.
 
-The decomposition procedures run against an exact symmetric diagonal over
-the unitization of the algebra (an exact diagonal of a unital algebra is
-lifted automatically).  Writing x for the diagonal evaluated through the
-map (image_action) and using the sandwich evaluation of module elements,
-a Jordan derivation satisfies D(a) = (a x - x a) - sandwich(D(a), t) and
-a Lie derivation satisfies D(a) = (a x - x a) + sandwich(D(a), t); note
-the opposite signs.  The Jordan route repeats the construction once on the
-central remainder and halves it; the Lie route returns the inner part and
-the central-trace remainder as two maps.
+The decomposition procedures run against a symmetric diagonal over the
+unitization of the algebra (a diagonal of a unital algebra is lifted
+automatically), whose defects are measured once per tensor.  Both routes
+share stage one: x is the diagonal pushed through the map (image_action)
+and S(a) the sandwich of D(a) through it; a Jordan derivation satisfies
+D(a) = (a x - x a) - S(a) and a Lie derivation D(a) = (a x - x a) + S(a).
+The Jordan route repeats the construction once on the central remainder
+and halves it; the Lie route returns the inner part and the central-trace
+remainder as two maps.
 """
 
 from dataclasses import dataclass
@@ -41,10 +41,9 @@ from itertools import chain
 from . import linalg, scalars
 from .algebra import (AlgebraError, AlgebraPresentation, BasisSpace, Element,
                       IntegerTables, PresentationError, _EMPTY, _act, _block_layout,
-                      _shifted, multiply)
+                      _shifted)
 from .diagonals import defects
 from .maps import LinearMap, map_from_flat
-from .tensor import contract
 
 MAP_KINDS = ("derivation", "jordan", "lie", "central_trace")
 
@@ -441,8 +440,8 @@ def central_derivation_space(algebra, X, diagonal=None):
              for v in linalg.nullspace(rows, algebra.dim * X.dim, algebra.eps)]
     checked = False
     if diagonal is not None:
-        ts, quality = _prepare_diagonal(X, diagonal)
-        if quality.max_defect <= quality.tolerance and quality.symmetric:
+        _, quality = _prepare_diagonal(X, diagonal)
+        if _diagonal_fault(quality) is None:
             checked = True
             if basis:
                 raise AlgebraError(
@@ -483,8 +482,10 @@ class DiagonalQuality:
 def _prepare_diagonal(X, t, tolerance=None):
     """Lift t to the unitization if needed and measure its defects there.
 
-    The measured defects are cached on the tensor: decomposition loops
-    re-verify the same diagonal many times.
+    The defect quadruple at each basis element of the unitization (the
+    adjoined unit last, at index dim A) is measured once and cached on the
+    tensor: the quality reads their max, the residual bounds read their
+    rows, and decomposition loops re-verify the same diagonal many times.
     """
     from .diagonals import unitized_diagonal
     algebra = X.algebra
@@ -495,51 +496,80 @@ def _prepare_diagonal(X, t, tolerance=None):
     else:
         X.adjoined_identity_index(t.space)  # raises when unrelated
         ts = t
-    if "diag_worst" not in ts._cache:
-        ts._cache["diag_worst"] = max([algebra.scalar(0)] + [
-            max(defects(ts, a)) for a in ts.space.basis_elements()])
-    quality = DiagonalQuality(max_defect=ts._cache["diag_worst"],
-                              symmetry_defect=ts.symmetry_defect(),
-                              tolerance=tolerance if tolerance is not None else X.eps)
+    if "diag_defects" not in ts._cache:
+        ts._cache["diag_defects"] = [defects(ts, a) for a in ts.space.basis_elements()]
+    quality = DiagonalQuality(
+        max_defect=max([algebra.scalar(0)] + [max(row) for row in ts._cache["diag_defects"]]),
+        symmetry_defect=ts.symmetry_defect(),
+        tolerance=tolerance if tolerance is not None else X.eps)
     return ts, quality
+
+
+def _diagonal_fault(quality):
+    """Why the diagonal fails acceptance (max defect and symmetry defect
+    within tolerance), or None when it passes."""
+    if not quality.max_defect <= quality.tolerance:
+        return (f"diagonal defects ({quality.max_defect}) exceed tolerance "
+                f"({quality.tolerance})")
+    if not quality.symmetric:
+        return "tensor is not symmetric within tolerance"
+    return None
 
 
 def _require_diagonal(X, t, tolerance):
     ts, quality = _prepare_diagonal(X, t, tolerance)
-    if quality.max_defect > quality.tolerance:
-        raise AlgebraError(
-            f"diagonal defects ({quality.max_defect}) exceed tolerance "
-            f"({quality.tolerance})")
-    if quality.symmetry_defect > quality.tolerance:
-        raise AlgebraError("tensor is not symmetric within tolerance")
+    fault = _diagonal_fault(quality)
+    if fault is not None:
+        raise AlgebraError(fault)
     return ts, quality
 
 
-def _sandwich_map(D, ts):
-    """a -> sandwich(D(a), ts) as a map on D's domain."""
-    X = D.codomain
-    images = [dict(sandwich_action(D.image_of_basis(q), ts).coeffs)
-              for q in range(D.domain.dim)]
-    return LinearMap(D.domain, X, images)
+def _require_map(D, defect, kind, tolerance):
+    """Raise unless defect(D) is within tolerance (the codomain's eps by default)."""
+    value = defect(D)
+    if value > (tolerance if tolerance is not None else D.codomain.eps):
+        raise AlgebraError(f"map is not {kind} (defect {value})")
 
 
-def _residual_bound(D, ts, b, quality):
-    """Defect-driven bound on the stage-one residual at algebra basis element b.
+def _residual_bound(D, q, rows):
+    """Defect-driven bound on the stage-one residual at algebra basis element q.
 
-    || D(a) - contract(t) D(a) || <= M_X * d2(e) * ||D(a)||, plus the two
-    action defects pushed through D's operator norm; this is the estimate
-    that replaces exact equality for a nonzero-defect diagonal.
+    rows are the diagonal's defect quadruples at the basis of A#, the
+    adjoined unit e last.  || D(a) - contract(t) D(a) || <= M_X * d2(e) *
+    ||D(a)||, plus the action defects d1, d3 at b_q through D's operator
+    norm: the estimate that replaces equality for a nonzero-defect diagonal.
     """
     X = D.codomain
-    a = _lift(b, ts.space)
-    d1, _, d3, _ = defects(ts, a)
-    e = ts.space.unit_element()
-    d2_at_e = (multiply(contract(ts), e) - e).norm()
+    d1, _, d3, _ = rows[q]
+    d2_at_e = rows[D.domain.dim][1]
     # the adjoined unit acts with constant 1, so the action factor for
     # elements of the unitization is max(M_X, 1)
     action = max(X.action_bound, X.scalar(1))
-    return (action * d2_at_e * D(b).norm()
+    return (action * d2_at_e * D.image_of_basis(q).norm()
             + D.op_norm() * (d1 + d3))
+
+
+def _stage_one(D, ts, quality, residual):
+    """The construction both routes share: x the diagonal ts pushed through D,
+    ad_x, and the sandwich map S: a -> sandwich(D(a), ts).
+
+    Returns x, ad_x, S, the norm of residual(D(b), ad_x(b), S(b)) per basis
+    label, the defect-driven bounds per label (empty for an exact diagonal),
+    and whether every residual is within its bound or the tolerance.
+    """
+    X, alg = D.codomain, D.domain
+    x = image_action(D, ts)
+    ad_x = inner_derivation(X, x)
+    S = LinearMap(alg, X, [dict(sandwich_action(D.image_of_basis(q), ts).coeffs)
+                           for q in range(alg.dim)])
+    labels = list(enumerate(alg.labels))
+    residuals = {label: residual(D.image_of_basis(q), ad_x.image_of_basis(q),
+                                 S.image_of_basis(q)).norm() for q, label in labels}
+    bounds = {} if quality.exact else {
+        label: _residual_bound(D, q, ts._cache["diag_defects"]) for q, label in labels}
+    within = all(residuals[lab] <= bounds[lab] or residuals[lab] <= quality.tolerance
+                 for lab in bounds)
+    return x, ad_x, S, residuals, bounds, within
 
 
 @dataclass
@@ -565,13 +595,11 @@ def jordan_decompose(D, t, tolerance=None):
     omega = x - x1/2 with D(a) = a omega - omega a verified on the basis.
     """
     X = D.codomain
-    map_tol = tolerance if tolerance is not None else X.eps
-    jd = jordan_defect(D)
-    if jd > map_tol:
-        raise AlgebraError(f"map is not a Jordan derivation (defect {jd})")
+    _require_map(D, jordan_defect, "a Jordan derivation", tolerance)
     ts, quality = _require_diagonal(X, t, tolerance)
-    x = image_action(D, ts)
-    delta = _sandwich_map(D, ts)
+    # a Jordan derivation is D = ad_x - S
+    x, _, delta, stage1, bounds, within = _stage_one(
+        D, ts, quality, lambda Db, ad, s: Db - (ad - s))
     cdef = centrality_defect(delta)
     if cdef > quality.tolerance:
         raise AlgebraError(
@@ -580,35 +608,15 @@ def jordan_decompose(D, t, tolerance=None):
     x1 = image_action(delta, ts)
     half = X.scalar(1) / X.scalar(2)
     omega = x - x1.scaled(half)
-    inner, ad_x = inner_derivation(X, omega), inner_derivation(X, x)
-    alg = D.domain
-    residuals = {}
-    stage1 = {}
-    bounds = {}
-    for q in range(alg.dim):
-        Db = D.image_of_basis(q)
-        residuals[alg.labels[q]] = (Db - inner.image_of_basis(q)).norm()
-        stage1[alg.labels[q]] = (Db - (ad_x.image_of_basis(q)
-                                       - delta.image_of_basis(q))).norm()
-        if not quality.exact:
-            bounds[alg.labels[q]] = _residual_bound(D, ts, alg.basis_element(q), quality)
-    exact = quality.exact
-    if exact:
-        ok = all(X.is_zero_scalar(r) for r in residuals.values())
-    else:
-        ok = all(stage1[lab] <= bounds[lab] or stage1[lab] <= quality.tolerance
-                 for lab in stage1)
+    inner = inner_derivation(X, omega)
+    residuals = {label: (D.image_of_basis(q) - inner.image_of_basis(q)).norm()
+                 for q, label in enumerate(D.domain.labels)}
+    ok = (all(r <= quality.tolerance for r in residuals.values())
+          if quality.exact else within)
     return JordanDecomposition(omega=omega, x=x, central_stage=delta, x1=x1,
                                residuals=residuals, stage_one_residuals=stage1,
                                stage_one_bounds=bounds, central_defect=cdef,
-                               quality=quality, exact=exact, ok=ok)
-
-
-def _lift(a, sharp):
-    """View an algebra element inside the unitization (same leading indices)."""
-    if a.space is sharp:
-        return a
-    return sharp.element(dict(a.coeffs))
+                               quality=quality, exact=quality.exact, ok=ok)
 
 
 @dataclass
@@ -629,24 +637,16 @@ def central_jordan_decompose(D, t, tolerance=None):
     a derivation outright, and on a symmetric bimodule it forces D = 0.
     """
     X = D.codomain
-    map_tol = tolerance if tolerance is not None else X.eps
-    jd = jordan_defect(D)
-    if jd > map_tol:
-        raise AlgebraError(f"map is not a Jordan derivation (defect {jd})")
-    cd = centrality_defect(D)
-    if cd > map_tol:
-        raise AlgebraError(f"map is not central-valued (defect {cd})")
+    _require_map(D, jordan_defect, "a Jordan derivation", tolerance)
+    _require_map(D, centrality_defect, "central-valued", tolerance)
     ts, quality = _require_diagonal(X, t, tolerance)
     x = image_action(D, ts)
     half = X.scalar(1) / X.scalar(2)
     ad_x = inner_derivation(X, x)
-    alg = D.domain
-    residuals = {}
-    for q in range(alg.dim):
-        half_inner = ad_x.image_of_basis(q).scaled(half)
-        residuals[alg.labels[q]] = (D.image_of_basis(q) - half_inner).norm()
+    residuals = {label: (D.image_of_basis(q) - ad_x.image_of_basis(q).scaled(half)).norm()
+                 for q, label in enumerate(D.domain.labels)}
     dd = derivation_defect(D)
-    ok = all(r <= quality.tolerance for r in residuals.values()) and dd <= map_tol
+    ok = all(r <= quality.tolerance for r in residuals.values()) and dd <= quality.tolerance
     return CentralJordanReport(x=x, residuals=residuals, derivation_defect=dd,
                                symmetric_bimodule=X.is_symmetric_bimodule(),
                                quality=quality, ok=ok)
@@ -690,37 +690,19 @@ def lie_decompose(D, t, tolerance=None, submodule=None):
     without being gated.
     """
     X = D.codomain
-    map_tol = tolerance if tolerance is not None else X.eps
-    ld = lie_defect(D)
-    if ld > map_tol:
-        raise AlgebraError(f"map is not a Lie derivation (defect {ld})")
+    _require_map(D, lie_defect, "a Lie derivation", tolerance)
     ts, quality = _require_diagonal(X, t, tolerance)
-    x = image_action(D, ts)
-    d_map = inner_derivation(X, x)
-    tau = _sandwich_map(D, ts)
-    alg = D.domain
-    residuals = {}
-    bounds = {}
-    for q in range(alg.dim):
-        r = (D.image_of_basis(q) - d_map.image_of_basis(q)
-             - tau.image_of_basis(q))
-        residuals[alg.labels[q]] = r.norm()
-        if not quality.exact:
-            bounds[alg.labels[q]] = _residual_bound(D, ts, alg.basis_element(q),
-                                                    quality)
+    # a Lie derivation is D = ad_x + S
+    x, d_map, tau, residuals, bounds, within = _stage_one(
+        D, ts, quality, lambda Db, ad, s: Db - ad - s)
     dd = derivation_defect(d_map)
     tc = centrality_defect(tau)
     tt = trace_defect(tau)
     sub_report = None
     if submodule is not None:
         sub_report = _submodule_report(X, d_map, tau, submodule)
-    exact = quality.exact
-    if exact:
-        checks = [dd, tc, tt] + list(residuals.values())
-        ok = all(v <= quality.tolerance for v in checks)
-    else:
-        ok = all(residuals[lab] <= bounds[lab] or residuals[lab] <= quality.tolerance
-                 for lab in residuals)
+    ok = (all(v <= quality.tolerance for v in [dd, tc, tt, *residuals.values()])
+          if quality.exact else within)
     if sub_report is not None:
         ok = ok and sub_report.inner_in_submodule and sub_report.trace_in_submodule_center
     return LieDecomposition(inner=d_map, central_trace=tau, x=x,
@@ -728,7 +710,7 @@ def lie_decompose(D, t, tolerance=None, submodule=None):
                             inner_derivation_defect=dd,
                             trace_centrality_defect=tc, trace_commutator_defect=tt,
                             quality=quality, submodule=sub_report,
-                            exact=exact, ok=ok)
+                            exact=quality.exact, ok=ok)
 
 
 def _submodule_report(X, d_map, tau, span_vectors):

@@ -232,17 +232,14 @@ def group_diagonal(table, labels=None, algebra=None, mode=RATIONAL):
     return Tensor2(algebra, coeffs)
 
 
-def direct_sum_diagonal(components, ambient=None, p=1):
+def direct_sum_diagonal(components, ambient=None):
     """Sum of block embeddings of per-block tensors over the l1 direct sum.
 
     components is a list of tensors or of (presentation, tensor) pairs.
-    Only the l1 combined weight is modeled; p must be 1.  Block embeddings
-    are isometric with disjoint supports, so each defect of the sum at a
-    test element is exactly the sum of the block defects at the element's
-    block components.
+    Block embeddings are isometric with disjoint supports, so each defect
+    of the sum at a test element is exactly the sum of the block defects at
+    the element's block components.
     """
-    if p != 1:
-        raise ValueError("only the l1 direct sum is modeled (p=1)")
     tensors = []
     blocks = []
     for item in components:
@@ -301,7 +298,7 @@ def ideal_diagonal(t, e):
     return right_action(opposite_right_action(t, e), e)
 
 
-def unitized_diagonal(t, unitization=None):
+def unitized_diagonal(t):
     """Lift an exact diagonal of a unital algebra to its unitization.
 
     If u is the unit of the carrier of t and e the adjoined unit, the lift
@@ -312,9 +309,7 @@ def unitized_diagonal(t, unitization=None):
     algebra = t.space
     if algebra.unit is None:
         raise AlgebraError("lifting a diagonal needs a unital carrier")
-    sharp = unitization if unitization is not None else unitize(algebra)
-    if sharp.meta.get("unitized_from") is not algebra:
-        raise AlgebraError("target is not the unitization of the tensor's carrier")
+    sharp = unitize(algebra)
     e_idx = sharp.meta["adjoined_index"]
     lifted = {key: c for key, c in t.coeffs.items()}
     corr = sharp.element({e_idx: 1}) - sharp.element(dict(algebra.unit))

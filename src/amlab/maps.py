@@ -132,12 +132,11 @@ def is_surjective(theta):
     return linalg.rank(theta.images, theta.codomain.eps) == theta.codomain.dim
 
 
-def check_epimorphism(theta, tol=None):
-    """Raise unless theta is a multiplicative surjection (within tol in float mode)."""
+def check_epimorphism(theta):
+    """Raise unless theta is a multiplicative surjection (within the codomain's eps)."""
     from .algebra import PresentationError
-    slack = tol if tol is not None else theta.codomain.eps
     d = hom_defect(theta)
-    if d > slack:
+    if d > theta.codomain.eps:
         raise PresentationError(f"map is not multiplicative on basis pairs (defect {d})")
     if not is_surjective(theta):
         raise PresentationError("map is not surjective")

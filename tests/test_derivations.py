@@ -1,5 +1,6 @@
 """Bimodules, classification oracles, and the decomposition procedures."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import chain
@@ -7,17 +8,17 @@ from itertools import chain
 import pytest
 
 from amlab import (AlgebraError, AlgebraPresentation, BimodulePresentation,
-                   DiagonalNet, LinearMap, PresentationError, Tensor2,
+                   DiagonalNet, Element, LinearMap, PresentationError, Tensor2,
                    central_derivation_space, central_jordan_decompose,
                    centrality_defect, classify_maps, contract, cyclic_group_table,
-                   derivation_defect, direct_sum_bimodule, elementary, flip,
+                   defects, derivation_defect, direct_sum_bimodule, elementary, flip,
                    group_algebra, group_diagonal, image_action, inner_derivation,
                    jordan_decompose, jordan_defect, left_action, lie_decompose,
                    lie_defect, matrix_algebra, matrix_diagonal, multiply,
                    net_boundedness, opposite_left_action, opposite_right_action,
                    quotient_bimodule, regular_bimodule, right_action,
                    sandwich_action, symmetric_group_table, trace_defect, unitize,
-                   upper_triangular_algebra)
+                   unitized_diagonal, upper_triangular_algebra)
 
 from amlab.maps import flatten_map
 from amlab import derivations, linalg, scalars, serialize
@@ -319,6 +320,20 @@ def test_jordan_decompose_approximate_diagonal_reports_bounds(m2, x2):
     assert rep.ok
 
 
+def test_jordan_verdict_reads_the_callers_tolerance(m2, x2, t2):
+    """An exact diagonal and a map within tolerance of a derivation: both
+    routes judge their residuals against the tolerance the caller passed."""
+    D = inner_derivation(x2, x2.element({"E12": 1})) + LinearMap(
+        m2, x2, [{0: Fraction(1, 1000)}, {}, {}, {}])
+    tol = Fraction(1, 10)
+    assert jordan_defect(D) == Fraction(1, 500) and lie_defect(D) == Fraction(1, 1000)
+    rep = jordan_decompose(D, t2, tolerance=tol)
+    assert rep.exact
+    assert max(rep.residuals.values()) == Fraction(1, 1000)
+    assert rep.ok
+    assert lie_decompose(D, t2, tolerance=tol).ok
+
+
 # -- central jordan ------------------------------------------------------------------
 
 def test_central_jordan_zero_map_passes(m2, x2, t2):
@@ -436,6 +451,18 @@ def test_central_derivation_beside_an_exact_diagonal_is_an_algebra_error(m2, mon
     with pytest.raises(AlgebraError, match="nonzero central derivation"):
         central_derivation_space(m2, regular_bimodule(m2),
                                  diagonal=matrix_diagonal(2, algebra=m2))
+
+
+def test_a_diagonal_with_a_nan_coefficient_is_not_accepted():
+    """One acceptance rule: the decompositions refuse the tensor, and
+    central_derivation_space does not count it as a vanishing check."""
+    A = matrix_algebra(2, mode="float")
+    X = regular_bimodule(A)
+    t = matrix_diagonal(2, algebra=A) + Tensor2(A, {(1, 2): float("nan")})
+    for decompose in (jordan_decompose, lie_decompose):
+        with pytest.raises(AlgebraError, match="diagonal defects|not symmetric"):
+            decompose(LinearMap.zero(A, X), t)
+    assert not central_derivation_space(A, X, diagonal=t).vanishing_checked
 
 
 def test_central_derivations_trivial_module(m2):
@@ -1107,6 +1134,139 @@ def test_decomposition_residuals_match_the_element_reference(mode):
                     assert got == want and type(got) is type(want)
             assert any(r > 0 for r in rep.residuals.values())
             assert any(r > 0 for r in central.residuals.values())
+
+
+# The decompositions against an approximate diagonal, rebuilt with per-label
+# loops that measure the diagonal's defects afresh for every bound.
+
+def ref_residual_bound(D, ts, b):
+    X = D.codomain
+    d1, _, d3, _ = defects(ts, ts.space.element(dict(b.coeffs)))
+    e = ts.space.unit_element()
+    d2_at_e = (multiply(contract(ts), e) - e).norm()
+    action = max(X.action_bound, X.scalar(1))
+    return action * d2_at_e * D(b).norm() + D.op_norm() * (d1 + d3)
+
+
+def ref_stage_one(D, t, tolerance):
+    """The lifted diagonal, its quality, x, ad_x and the sandwich map."""
+    X, alg = D.codomain, D.domain
+    ts = unitized_diagonal(t)
+    worst = max([alg.scalar(0)] + [max(defects(ts, a)) for a in ts.space.basis_elements()])
+    quality = derivations.DiagonalQuality(worst, ts.symmetry_defect(), tolerance)
+    x = image_action(D, ts)
+    S = LinearMap(alg, X, [dict(sandwich_action(D.image_of_basis(q), ts).coeffs)
+                           for q in range(alg.dim)])
+    return ts, quality, x, inner_derivation(X, x), S
+
+
+def ref_jordan_decompose(D, t, tolerance):
+    X, alg = D.codomain, D.domain
+    ts, quality, x, ad_x, delta = ref_stage_one(D, t, tolerance)
+    x1 = image_action(delta, ts)
+    omega = x - x1.scaled(X.scalar(1) / X.scalar(2))
+    inner = inner_derivation(X, omega)
+    residuals, stage1, bounds = {}, {}, {}
+    for q, b in enumerate(alg.basis_elements()):
+        Db, label = D.image_of_basis(q), alg.labels[q]
+        residuals[label] = (Db - inner.image_of_basis(q)).norm()
+        stage1[label] = (Db - (ad_x.image_of_basis(q) - delta.image_of_basis(q))).norm()
+        bounds[label] = ref_residual_bound(D, ts, b)
+    ok = all(stage1[lab] <= bounds[lab] or stage1[lab] <= tolerance for lab in stage1)
+    return derivations.JordanDecomposition(
+        omega=omega, x=x, central_stage=delta, x1=x1, residuals=residuals,
+        stage_one_residuals=stage1, stage_one_bounds=bounds,
+        central_defect=centrality_defect(delta), quality=quality, exact=False, ok=ok)
+
+
+def ref_lie_decompose(D, t, tolerance):
+    alg = D.domain
+    ts, quality, x, d_map, tau = ref_stage_one(D, t, tolerance)
+    residuals, bounds = {}, {}
+    for q, b in enumerate(alg.basis_elements()):
+        r = D.image_of_basis(q) - d_map.image_of_basis(q) - tau.image_of_basis(q)
+        residuals[alg.labels[q]] = r.norm()
+        bounds[alg.labels[q]] = ref_residual_bound(D, ts, b)
+    ok = all(residuals[lab] <= bounds[lab] or residuals[lab] <= tolerance for lab in residuals)
+    return derivations.LieDecomposition(
+        inner=d_map, central_trace=tau, x=x, residuals=residuals, residual_bounds=bounds,
+        inner_derivation_defect=derivation_defect(d_map),
+        trace_centrality_defect=centrality_defect(tau),
+        trace_commutator_defect=trace_defect(tau), quality=quality, exact=False, ok=ok)
+
+
+def ref_central_jordan_decompose(D, t, tolerance):
+    X, alg = D.codomain, D.domain
+    _, quality, x, ad_x, _ = ref_stage_one(D, t, tolerance)
+    half = X.scalar(1) / X.scalar(2)
+    residuals = {alg.labels[q]: (D.image_of_basis(q) - ad_x.image_of_basis(q).scaled(half)).norm()
+                 for q in range(alg.dim)}
+    dd = derivation_defect(D)
+    return derivations.CentralJordanReport(
+        x=x, residuals=residuals, derivation_defect=dd,
+        symmetric_bimodule=X.is_symmetric_bimodule(), quality=quality,
+        ok=all(r <= tolerance for r in residuals.values()) and dd <= tolerance)
+
+
+def canonical(value):
+    """Values with their types and key order, for bit-for-bit comparison."""
+    if isinstance(value, Element):
+        return canonical(value.coeffs)
+    if isinstance(value, LinearMap):
+        return [canonical(img) for img in value.images]
+    if dataclasses.is_dataclass(value):
+        return [(f.name, canonical(getattr(value, f.name))) for f in dataclasses.fields(value)]
+    if isinstance(value, dict):
+        return [(k, canonical(v)) for k, v in value.items()]
+    return repr(value), type(value)
+
+
+def approximate_decomposition_cases(mode):
+    """(map, approximate symmetric diagonal, tolerance) triples: an inner
+    derivation plus a small perturbation, on the regular module, a direct sum
+    and a module with non-unit weights, over M3 and l1(S3)."""
+    rng = random.Random(71)
+    m3 = matrix_algebra(3, mode=mode)
+    s3 = group_algebra(*symmetric_group_table(3), mode=mode)
+    for A, exact, diagonal in [
+            (m3, matrix_algebra(3), matrix_diagonal(3, algebra=m3)),
+            (s3, group_algebra(*symmetric_group_table(3)),
+             group_diagonal(*symmetric_group_table(3), algebra=s3))]:
+        noise = elementary(A.element({1: Fraction(1, 10 ** 4)}), A.element({3: 1}))
+        R = regular_bimodule(A)
+        for X in (R, direct_sum_bimodule([R, R]), module_on_new_basis(A, exact)):
+            x = X.element({k: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                           for k in range(X.dim)})
+            nudge = LinearMap(A, X, [{0: Fraction(1, 1000)}] + [{}] * (A.dim - 1))
+            yield (inner_derivation(X, x) + nudge, nudge, diagonal + noise + flip(noise),
+                   A.scalar(Fraction(1, 10)))
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_approximate_decompositions_match_the_per_label_reference(mode):
+    for D, central, t, tol in approximate_decomposition_cases(mode):
+        for decompose, ref, M in [(jordan_decompose, ref_jordan_decompose, D),
+                                  (lie_decompose, ref_lie_decompose, D),
+                                  (central_jordan_decompose, ref_central_jordan_decompose,
+                                   central)]:
+            rep = decompose(M, t, tolerance=tol)
+            assert not rep.quality.exact and rep.quality.max_defect > 0
+            assert canonical(rep) == canonical(ref(M, t, tol))
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_an_approximate_diagonal_is_measured_once(mode, monkeypatch):
+    """One defect quadruple per basis element of A#: the quality and every
+    residual bound read them, however many decompositions use the tensor."""
+    calls = []
+    monkeypatch.setattr(derivations, "defects",
+                        lambda t, a: calls.append(a) or defects(t, a))
+    for D, _, t, tol in approximate_decomposition_cases(mode):
+        del calls[:]
+        assert jordan_decompose(D, t, tolerance=tol).stage_one_bounds
+        assert len(calls) == D.domain.dim + 1
+        assert lie_decompose(D, t, tolerance=tol).residual_bounds
+        assert len(calls) == D.domain.dim + 1
 
 
 def test_gates_and_decompositions_reject_a_map_into_an_algebra(m2):

@@ -264,11 +264,6 @@ def test_direct_sum_single_component_is_identity_embedding(m2):
     assert ts.coeffs == t.coeffs
 
 
-def test_direct_sum_p_neq_1_rejected(m2):
-    with pytest.raises(ValueError):
-        direct_sum_diagonal([matrix_diagonal(2, algebra=m2)], p=2)
-
-
 # -- pushforward --------------------------------------------------------------------
 
 def test_pushforward_projection_recovers_block_diagonal(m2, m3):
