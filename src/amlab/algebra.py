@@ -485,3 +485,46 @@ def commutator_subspace(algebra):
         sp.add(v)
     return [Element(algebra, {i: algebra.scalar(c) for i, c in sorted(v.items())})
             for v in sp.rows]
+
+
+def generating_set(algebra, lie=False):
+    """Basis indices S that generate the algebra (Lie-generate it for lie=True).
+
+    S is picked greedily in basis order: b_i joins S when it is not in the
+    closure of the elements picked before it.  The closure is span(S) closed
+    under v -> v b_s for s in S, which is the subalgebra S generates (every
+    product of elements of S is a word s_1 ... s_k); with lie=True the step
+    is v -> v b_s - b_s v, and the closure is the Lie subalgebra S generates,
+    spanned by the left-normed brackets of S.  It is built exactly on
+    integer_tables, so every b_i is either in S or proven to lie in the
+    closure.  In float mode S is the whole basis: a float table is
+    associative only up to rounding, and a rounded product that lies in the
+    closure leaves a residue, so no closure read off it is a proof.
+    """
+    if algebra.eps:
+        return list(range(algebra.dim))
+    ints = algebra.integer_tables
+
+    def step(v, s):
+        w = _act(ints.right[s], v)
+        if lie:
+            linalg.vec_add_scaled(w, _act(ints.left[s], v), -1)
+        return w
+
+    closure = linalg.Span()
+    found = []          # vectors spanning the closure, each reached from S
+    gens = []
+    for i in range(algebra.dim):
+        v = {i: 1}
+        if closure.add(v) is None:
+            continue
+        gens.append(i)
+        found.append(v)
+        pending = [(u, i) for u in found] + [(v, s) for s in gens[:-1]]
+        while pending:
+            v, s = pending.pop()
+            w = step(v, s)
+            if closure.add(w) is not None:
+                found.append(w)
+                pending.extend((w, t) for t in gens)
+    return gens

@@ -5,11 +5,17 @@ and sparse action tables for b_i x_j and x_j b_i; the module laws
 (ab)x = a(bx), x(ab) = (xa)b and (ax)b = a(xb) are validated on basis
 triples.  A map D into the module is a derivation / Jordan derivation /
 Lie derivation when the corresponding product rule holds.  Each identity
-is written once, as per-basis-pair terms (_identity_terms): classify_maps
-turns them into linear equations and solves them exactly by elimination,
-and the five defect gates (derivation_defect ... trace_defect) evaluate
-the same terms on a map, so a map passes a gate exactly when it satisfies
-the equations classify_maps eliminates.
+is written once, as per-basis-pair terms (_identity_terms).  The five
+defect gates (derivation_defect ... trace_defect) evaluate the terms of
+every pair on a map, since they report a norm.  classify_maps turns the
+terms into linear equations and solves them exactly by elimination, in
+rational mode only on the pairs a generating set needs
+(algebra.generating_set): the derivation and central rows for b_i in S,
+the Lie rows for the pairs meeting a Lie-generating set, and the trace rows
+as D(c) = 0 on a basis of [A, A].  These rows have the row space of all
+pairs (_identity_terms says why), so a gate is zero exactly when the map
+solves classify_maps' equations; the Jordan rows, and every row in float
+mode, keep every pair.
 
 In rational mode these run in ints: a bimodule's algebra.IntegerTables hold
 its algebra's and both action tables with one common denominator cleared,
@@ -41,7 +47,7 @@ from itertools import chain
 from . import linalg, scalars
 from .algebra import (AlgebraError, AlgebraPresentation, BasisSpace, Element,
                       IntegerTables, PresentationError, _EMPTY, _act, _block_layout,
-                      _shifted)
+                      _shifted, commutator_subspace, generating_set)
 from .diagonals import defects
 from .maps import LinearMap, map_from_flat
 
@@ -263,7 +269,7 @@ def image_action(T, t):
 # identity defects and classification
 # ---------------------------------------------------------------------------
 
-def _identity_terms(mul, d, kind):
+def _identity_terms(mul, d, kind, gens=None):
     """The identity's terms on a map D, one list per basis pair (i, j).
 
     mul is the d-dimensional domain's product table {(i, j): row}.  A term
@@ -274,9 +280,19 @@ def _identity_terms(mul, d, kind):
     constants carry the same scale, the terms are the identity times that
     scale.  Jordan, Lie and trace pairs run over i <= j or i < j: swapping i
     and j gives the same terms up to sign.
+
+    gens, for the derivation, central and Lie identities only, keeps the
+    pairs with i in gens (derivation, central) or meeting gens (Lie).  With
+    gens a generating set (algebra.generating_set; Lie-generating for Lie)
+    these pairs imply all the others: given associativity and the module
+    laws, the elements a at which the identity holds for every b form a
+    subspace closed under the product (under the bracket for Lie, by the
+    Jacobi identity) that contains gens, so they are all of A.
     """
+    gens = range(d) if gens is None else gens
+    keep = set(gens)
     if kind == "derivation":
-        for i in range(d):
+        for i in gens:
             for j in range(d):
                 terms = [(c, q, None) for q, c in mul.get((i, j), _EMPTY).items()]
                 yield terms + [(-1, i, ("R", j)), (-1, j, ("L", i))]
@@ -291,12 +307,14 @@ def _identity_terms(mul, d, kind):
     elif kind == "lie":
         for i in range(d):
             for j in range(i + 1, d):
+                if i not in keep and j not in keep:
+                    continue
                 acc = linalg.vec_sub(mul.get((i, j), _EMPTY), mul.get((j, i), _EMPTY))
                 terms = [(c, q, None) for q, c in acc.items()]
                 yield terms + [(-1, i, ("R", j)), (-1, j, ("L", i)),
                                (1, j, ("R", i)), (1, i, ("L", j))]
     elif kind == "central":
-        for i in range(d):
+        for i in gens:
             for j in range(d):
                 yield [(1, j, ("L", i)), (-1, j, ("R", i))]
     elif kind == "trace":
@@ -382,8 +400,9 @@ def inner_derivation(X, x):
     return LinearMap(X.algebra, X, images)
 
 
-def _identity_rows(algebra, X, kind):
-    """Linear equations on the flattened map matrix imposed by the identity.
+def _identity_rows(algebra, X, kind, gens=None):
+    """Linear equations on the flattened map matrix imposed by the identity,
+    on the pairs _identity_terms keeps for gens.
 
     The rows are built on X.integer_tables, so in rational mode they are in
     ints: the equations times the tables' scale.  Action terms walk only the
@@ -392,7 +411,7 @@ def _identity_rows(algebra, X, kind):
     m = X.dim
     ints = X.integer_tables
     rows = []
-    for terms in _identity_terms(ints.mul, algebra.dim, kind):
+    for terms in _identity_terms(ints.mul, algebra.dim, kind, gens):
         per_coord = {}
         for alpha, q, op in terms:
             if op is None:
@@ -412,17 +431,40 @@ def _identity_rows(algebra, X, kind):
     return rows
 
 
+def _trace_rows(algebra, X):
+    """D(c) = 0 for c in the basis of [A, A] from commutator_subspace, one row
+    per basis vector and module coordinate: the row space of the trace
+    identity on all pairs.  Float mode keeps the identity on all pairs, as
+    generating_set keeps the whole basis there."""
+    if algebra.eps:
+        return _identity_rows(algebra, X, "trace")
+    m = X.dim
+    return [{q * m + l: c for q, c in z.coeffs.items()}
+            for z in commutator_subspace(algebra) for l in range(m)]
+
+
 def classify_maps(algebra, X, kind):
     """Exact basis of the space of maps satisfying the requested identity.
 
     kind is one of "derivation", "jordan", "lie" or "central_trace"
-    (central-valued maps killing commutators).
+    (central-valued maps killing commutators).  In rational mode the
+    derivation and central rows are built for i in a generating set only,
+    the Lie rows for the pairs meeting a Lie-generating set
+    (algebra.generating_set, computed here) and the trace rows on a basis
+    of [A, A]; each has the row space of the identity on all pairs, so the
+    solution space is the same.  Float mode, where no generating set is
+    proven, and the Jordan rows, for which no such closure argument is
+    known, keep every pair.
     """
     if X.algebra is not algebra:
         raise AlgebraError("module is not over the given algebra")
     if kind == "central_trace":
-        rows = _identity_rows(algebra, X, "central") + _identity_rows(algebra, X, "trace")
-    elif kind in ("derivation", "jordan", "lie"):
+        gens = generating_set(algebra)
+        rows = _identity_rows(algebra, X, "central", gens) + _trace_rows(algebra, X)
+    elif kind in ("derivation", "lie"):
+        gens = generating_set(algebra, lie=kind == "lie")
+        rows = _identity_rows(algebra, X, kind, gens)
+    elif kind == "jordan":
         rows = _identity_rows(algebra, X, kind)
     else:
         raise ValueError(f"unknown map kind {kind!r}; expected one of {MAP_KINDS}")
@@ -432,10 +474,14 @@ def classify_maps(algebra, X, kind):
 
 def central_derivation_space(algebra, X, diagonal=None):
     """Basis of central-valued derivations; empty when an exact symmetric
-    diagonal is supplied (any nonzero solution would falsify the library)."""
+    diagonal is supplied (any nonzero solution would falsify the library).
+    The derivation and central rows are built on a generating set, as in
+    classify_maps (on every pair in float mode)."""
     if X.algebra is not algebra:
         raise AlgebraError("module is not over the given algebra")
-    rows = _identity_rows(algebra, X, "derivation") + _identity_rows(algebra, X, "central")
+    gens = generating_set(algebra)
+    rows = (_identity_rows(algebra, X, "derivation", gens)
+            + _identity_rows(algebra, X, "central", gens))
     basis = [map_from_flat(algebra, X, v)
              for v in linalg.nullspace(rows, algebra.dim * X.dim, algebra.eps)]
     checked = False
@@ -593,6 +639,11 @@ def jordan_decompose(D, t, tolerance=None):
     Computes x as the diagonal pushed through D, the central remainder as
     the sandwich of D through the diagonal, repeats once, and returns
     omega = x - x1/2 with D(a) = a omega - omega a verified on the basis.
+
+    Against an exact diagonal the remainder must be central within the
+    tolerance.  Against a nonzero-defect diagonal its centrality defect
+    grows with ||D|| times the diagonal's defects, so it is reported without
+    being gated, as in lie_decompose, and ok rests on the stage-one bounds.
     """
     X = D.codomain
     _require_map(D, jordan_defect, "a Jordan derivation", tolerance)
@@ -601,7 +652,7 @@ def jordan_decompose(D, t, tolerance=None):
     x, _, delta, stage1, bounds, within = _stage_one(
         D, ts, quality, lambda Db, ad, s: Db - (ad - s))
     cdef = centrality_defect(delta)
-    if cdef > quality.tolerance:
+    if quality.exact and cdef > quality.tolerance:
         raise AlgebraError(
             f"central stage fails centrality (defect {cdef}); "
             "the supplied tensor is not a symmetric diagonal")

@@ -1269,6 +1269,37 @@ def test_an_approximate_diagonal_is_measured_once(mode, monkeypatch):
         assert len(calls) == D.domain.dim + 1
 
 
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_jordan_reports_the_central_stage_of_an_approximate_diagonal_ungated(mode):
+    """The central stage's defect grows with ||D|| times the diagonal's defects;
+    a diagonal within tolerance is not refused for it, and ok rests on the
+    stage-one bounds."""
+    s3 = group_algebra(*symmetric_group_table(3), mode=mode)
+    X = module_on_new_basis(s3, group_algebra(*symmetric_group_table(3)))
+    rng = random.Random(71)
+    x = X.element({k: Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for k in range(X.dim)})
+    D = inner_derivation(X, x) + LinearMap(s3, X, [{0: Fraction(1, 1000)}] + [{}] * 5)
+    noise = elementary(s3.element({1: Fraction(1, 1000)}), s3.element({3: 1}))
+    t = group_diagonal(*symmetric_group_table(3), algebra=s3) + noise + flip(noise)
+    tol = s3.scalar(Fraction(1, 10))
+    rep = jordan_decompose(D, t, tolerance=tol)
+    assert not rep.exact and rep.quality.max_defect <= tol
+    assert rep.central_defect == centrality_defect(rep.central_stage) > tol
+    assert rep.ok == all(rep.stage_one_residuals[lab] <= rep.stage_one_bounds[lab]
+                         or rep.stage_one_residuals[lab] <= tol for lab in s3.labels)
+    assert canonical(rep) == canonical(ref_jordan_decompose(D, t, tol))
+
+
+def test_jordan_gates_the_central_stage_of_an_exact_diagonal(m2, x2, t2, monkeypatch):
+    """An exact diagonal makes the central stage central; a defect there would
+    mean the tensor is not one, and is refused."""
+    D = inner_derivation(x2, x2.element({1: 1}))
+    assert jordan_decompose(D, t2).ok
+    monkeypatch.setattr(derivations, "centrality_defect", lambda D: Fraction(1, 10 ** 9))
+    with pytest.raises(AlgebraError, match="central stage fails centrality"):
+        jordan_decompose(D, t2)
+
+
 def test_gates_and_decompositions_reject_a_map_into_an_algebra(m2):
     D = LinearMap.zero(m2, m2)
     for defect in (derivation_defect, jordan_defect, lie_defect, centrality_defect):

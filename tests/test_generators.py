@@ -1,0 +1,281 @@
+"""Generating sets, and the identity systems classify_maps builds on them.
+
+In rational mode classify_maps eliminates the derivation and central rows
+for i in a generating set only, the Lie rows for the pairs meeting a
+Lie-generating set and the trace rows on a basis of [A, A]; float mode keeps
+every pair.  The oracle here is the identity on
+every ordered basis pair, written out in Fraction (or float) arithmetic on the
+presentation's own tables, independently of the library's term encoding.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from amlab import (AlgebraPresentation, central_derivation_space, classify_maps,
+                   cyclic_group_table, derivations, direct_sum_algebra,
+                   direct_sum_bimodule, group_algebra, linalg, matrix_algebra, multiply,
+                   quotient_bimodule, regular_bimodule, symmetric_group_table,
+                   upper_triangular_algebra)
+from amlab.algebra import generating_set
+from amlab.maps import flatten_map
+
+from test_derivations import module_on_new_basis, rescaled_m3
+
+
+def full_pair_rows(A, X, kind):
+    """The identity on every ordered pair (i, j), as rows over the flattened map
+    matrix: column q * m + k is the coefficient of x_k in D(b_q)."""
+    m = X.dim
+
+    def add(rows, l, col, c):
+        row = rows.setdefault(l, {})
+        row[col] = row.get(col, 0) + c
+
+    def image(rows, v, c):                  # c * D(v), v in A
+        for q, a in v.items():
+            for l in range(m):
+                add(rows, l, q * m + l, c * a)
+
+    def right(rows, q, j, c):               # c * D(b_q) b_j
+        for k in range(m):
+            for l, a in X.right.get((k, j), {}).items():
+                add(rows, l, q * m + k, c * a)
+
+    def left(rows, i, q, c):                # c * b_i D(b_q)
+        for k in range(m):
+            for l, a in X.left.get((i, k), {}).items():
+                add(rows, l, q * m + k, c * a)
+
+    out = []
+    for i in range(A.dim):
+        for j in range(A.dim):
+            bracket = linalg.vec_sub(A.product_indices(i, j), A.product_indices(j, i))
+            rows = {}
+            if kind == "derivation":
+                image(rows, A.product_indices(i, j), 1)
+                right(rows, i, j, -1)
+                left(rows, i, j, -1)
+            elif kind == "lie":
+                image(rows, bracket, 1)
+                right(rows, i, j, -1)
+                left(rows, i, j, -1)
+                right(rows, j, i, 1)
+                left(rows, j, i, 1)
+            elif kind == "central":
+                left(rows, i, j, 1)
+                right(rows, j, i, -1)
+            else:
+                image(rows, bracket, 1)
+            out.extend({col: c for col, c in row.items() if c} for row in rows.values())
+    return [row for row in out if row]
+
+
+def full_pair_nullspace(A, X, kinds, rows=None):
+    """The solutions of the identities on every pair; rows caches each kind's rows."""
+    rows = {} if rows is None else rows
+    for kind in kinds:
+        if kind not in rows:
+            rows[kind] = full_pair_rows(A, X, kind)
+    return linalg.nullspace([row for kind in kinds for row in rows[kind]],
+                            A.dim * X.dim, A.eps)
+
+
+CLASSIFIED = {"derivation": ("derivation",), "lie": ("lie",),
+              "central_trace": ("central", "trace")}
+
+
+def changed_basis_m3(mode="rational"):
+    """M3 on the basis c_k = E_k + r_k E_{k+1} + s_k E_{k+3}: every product has
+    several terms, and the greedy generating set differs from M3's.  In float
+    mode the constants are rounded, so products are associative only up to
+    rounding."""
+    A = matrix_algebra(3)
+    d = A.dim
+    r = [Fraction(x) for x in ("1/2", -3, "2/7", 1, "5/3", -1, "3/4", 2)]
+    s = [Fraction(x) for x in (2, "-1/3", "4/5", 1, "1/6", -2)]
+    P = [{k: Fraction(1)} for k in range(d)]
+    for k in range(d - 1):
+        P[k][k + 1] = r[k]
+    for k in range(d - 3):
+        P[k][k + 3] = s[k]
+
+    def in_c(v):                            # w with sum_k w_k c_k == v (P unit upper triangular)
+        w, v = {}, dict(v)
+        for k in range(d):
+            c = v.get(k, 0)
+            if c:
+                w[k] = c
+                linalg.vec_add_scaled(v, P[k], -c)
+        return w
+
+    mul = {}
+    for i in range(d):
+        for j in range(d):
+            prod = {}
+            for a, x in P[i].items():
+                for b, y in P[j].items():
+                    linalg.vec_add_scaled(prod, A.product_indices(a, b), x * y)
+            if prod:
+                mul[(i, j)] = in_c(prod)
+    return AlgebraPresentation([f"c{k}" for k in range(d)], mul, mode=mode,
+                               name="M3 changed basis")
+
+
+def permuted(A, order, name):
+    """A on its basis reordered: new index k is old index order[k]."""
+    new = {old: k for k, old in enumerate(order)}
+    mul = {(new[i], new[j]): {new[k]: c for k, c in row.items()}
+           for (i, j), row in A.mul.items()}
+    return AlgebraPresentation([A.labels[i] for i in order], mul, name=name)
+
+
+def rational_algebras():
+    return [matrix_algebra(2), matrix_algebra(3), matrix_algebra(4),
+            upper_triangular_algebra(3), upper_triangular_algebra(4),
+            group_algebra(*symmetric_group_table(3)), group_algebra(*symmetric_group_table(4)),
+            group_algebra(*cyclic_group_table(4)),
+            direct_sum_algebra([matrix_algebra(2), upper_triangular_algebra(2)]),
+            rescaled_m3("rational"), changed_basis_m3(),
+            # E12, E23, E13, ...: the product of the first two comes later
+            permuted(upper_triangular_algebra(3), [1, 4, 2, 0, 3, 5], "T3 permuted")]
+
+
+def module_cases():
+    s3 = group_algebra(*symmetric_group_table(3))
+    R = regular_bimodule(s3)
+    pair = direct_sum_bimodule([R, R])
+    quotient, _ = quotient_bimodule(pair, [pair.element({k: 1, s3.dim + k: -1})
+                                           for k in range(s3.dim)])
+    m3 = changed_basis_m3()
+    return [pair, quotient, module_on_new_basis(s3, s3),
+            module_on_new_basis(rescaled_m3("rational"), rescaled_m3("rational")),
+            direct_sum_bimodule([regular_bimodule(m3), regular_bimodule(m3)])]
+
+
+def closure_of(A, gens, lie):
+    """span(gens) closed under v -> v b_s (v b_s - b_s v when lie) for s in
+    gens, in Element arithmetic, until a pass adds nothing."""
+    sp = linalg.Span()
+    for s in gens:
+        sp.add({s: Fraction(1)})
+    grew = True
+    while grew:
+        grew = False
+        for v in list(sp.rows):
+            for s in gens:
+                a, b = A.element(v), A.basis_element(s)
+                w = multiply(a, b) - multiply(b, a) if lie else multiply(a, b)
+                grew |= sp.add(dict(w.coeffs)) is not None
+    return sp
+
+
+@pytest.mark.parametrize("A", rational_algebras(), ids=lambda A: A.name)
+@pytest.mark.parametrize("lie", [False, True])
+def test_the_generating_set_is_greedy_and_its_closure_is_the_algebra(A, lie):
+    gens = generating_set(A, lie=lie)
+    assert closure_of(A, gens, lie).dim == A.dim
+    # b_i is picked exactly when the closure of the elements picked before it misses it
+    for i in range(A.dim):
+        before = closure_of(A, [g for g in gens if g < i], lie)
+        assert (i in gens) == (not before.contains({i: 1}))
+
+
+def test_generating_sets_are_smaller_than_the_basis():
+    for A in (matrix_algebra(3), matrix_algebra(5), group_algebra(*symmetric_group_table(4))):
+        for lie in (False, True):
+            assert len(generating_set(A, lie=lie)) < A.dim
+    assert generating_set(group_algebra(*symmetric_group_table(4))) == [0, 1, 2, 6]
+    assert generating_set(matrix_algebra(5)) == [0, 1, 2, 3, 4, 5, 10, 15, 20]
+
+
+def test_a_product_of_an_earlier_and_a_later_generator_is_not_picked():
+    A = permuted(upper_triangular_algebra(3), [1, 4, 2, 0, 3, 5], "T3 permuted")
+    assert generating_set(A) == [0, 1, 3, 4, 5]
+
+
+def test_a_commutative_algebra_is_lie_generated_only_by_its_whole_basis():
+    A = group_algebra(*cyclic_group_table(4))
+    assert generating_set(A, lie=True) == list(range(A.dim))
+    assert generating_set(A) == [0, 1]
+
+
+FLOAT_ALGEBRAS = [matrix_algebra(3, mode="float"), matrix_algebra(4, mode="float"),
+                  upper_triangular_algebra(4, mode="float"),
+                  group_algebra(*symmetric_group_table(3), mode="float"),
+                  group_algebra(*symmetric_group_table(4), mode="float"),
+                  changed_basis_m3("float")]
+
+
+def test_a_float_algebra_is_generated_by_its_whole_basis():
+    """An exact closure of a float table counts rounding residues as new
+    directions: changed-basis M3's would reach dimension 9 from c0, c1 alone,
+    although c0, c1, c3 are needed."""
+    assert generating_set(changed_basis_m3()) == [0, 1, 3]
+    for A in FLOAT_ALGEBRAS:
+        for lie in (False, True):
+            assert generating_set(A, lie=lie) == list(range(A.dim))
+
+
+def assert_same_solutions(A, X):
+    rows = {}
+    for kind, kinds in CLASSIFIED.items():
+        got = [flatten_map(D) for D in classify_maps(A, X, kind)]
+        assert got == full_pair_nullspace(A, X, kinds, rows), kind
+    want = full_pair_nullspace(A, X, ("derivation", "central"), rows)
+    assert [flatten_map(D) for D in central_derivation_space(A, X).basis] == want
+
+
+@pytest.mark.parametrize("A", rational_algebras(), ids=lambda A: A.name)
+def test_classify_on_generators_matches_every_pair(A):
+    assert_same_solutions(A, regular_bimodule(A))
+
+
+@pytest.mark.parametrize("X", module_cases(), ids=["S3 sum", "S3 quotient", "S3 new basis",
+                                                   "M3 rescaled new basis", "M3 changed sum"])
+def test_classify_on_generators_matches_every_pair_on_other_modules(X):
+    assert_same_solutions(X.algebra, X)
+
+
+@pytest.mark.parametrize("A", FLOAT_ALGEBRAS, ids=lambda A: A.name)
+def test_float_classify_has_the_dimensions_of_every_pair(A):
+    X, rows = regular_bimodule(A), {}
+    for kind, kinds in CLASSIFIED.items():
+        assert len(classify_maps(A, X, kind)) == len(full_pair_nullspace(A, X, kinds, rows))
+    assert (central_derivation_space(A, X).dim
+            == len(full_pair_nullspace(A, X, ("derivation", "central"), rows)))
+
+
+def test_classify_eliminates_fewer_rows_except_for_jordan(monkeypatch):
+    """Derivation, Lie and central-trace rows shrink; the Jordan rows are the
+    identity on every pair, as the gates are."""
+    seen = []
+    nullspace = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace",
+                        lambda rows, *a: seen.append(len(rows)) or nullspace(rows, *a))
+    for A in (matrix_algebra(4), group_algebra(*symmetric_group_table(4))):
+        X = regular_bimodule(A)
+        for kind, kinds in CLASSIFIED.items():
+            del seen[:]
+            classify_maps(A, X, kind)
+            assert seen[0] < sum(len(derivations._identity_rows(A, X, k)) for k in kinds), kind
+        del seen[:]
+        classify_maps(A, X, "jordan")
+        assert seen == [len(derivations._identity_rows(A, X, "jordan"))]
+
+
+@pytest.mark.parametrize("A", FLOAT_ALGEBRAS, ids=lambda A: A.name)
+def test_float_classify_eliminates_the_rows_of_every_pair(A, monkeypatch):
+    seen = []
+    nullspace = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace",
+                        lambda rows, *a: seen.append(rows) or nullspace(rows, *a))
+    X = regular_bimodule(A)
+    for kind, kinds in CLASSIFIED.items():
+        del seen[:]
+        classify_maps(A, X, kind)
+        assert seen == [[row for k in kinds for row in derivations._identity_rows(A, X, k)]]
+    del seen[:]
+    central_derivation_space(A, X)
+    assert seen == [derivations._identity_rows(A, X, "derivation")
+                    + derivations._identity_rows(A, X, "central")]
