@@ -406,7 +406,8 @@ def _identity_rows(algebra, X, kind, gens=None):
 
     The rows are built on X.integer_tables, so in rational mode they are in
     ints: the equations times the tables' scale.  Action terms walk only the
-    nonzero entries of their index.
+    nonzero entries of their index; a product term writes alpha at column
+    q*m + k of coordinate k's row.
     """
     m = X.dim
     ints = X.integer_tables
@@ -414,12 +415,18 @@ def _identity_rows(algebra, X, kind, gens=None):
     for terms in _identity_terms(ints.mul, algebra.dim, kind, gens):
         per_coord = {}
         for alpha, q, op in terms:
+            base = q * m
             if op is None:
-                entries = ((k, {k: 1}) for k in range(m))
-            else:
-                entries = (ints.left if op[0] == "L" else ints.right)[op[1]].items()
-            for k, vec in entries:
-                col = q * m + k
+                for k in range(m):
+                    row, col = per_coord.setdefault(k, {}), base + k
+                    v = row.get(col, 0) + alpha
+                    if v == 0:
+                        row.pop(col, None)
+                    else:
+                        row[col] = v
+                continue
+            for k, vec in (ints.left if op[0] == "L" else ints.right)[op[1]].items():
+                col = base + k
                 for l, c in vec.items():
                     row = per_coord.setdefault(l, {})
                     v = row.get(col, 0) + alpha * c

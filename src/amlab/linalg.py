@@ -7,6 +7,8 @@ row is cleared of its denominators once and reduced fraction-free, and
 values become Fractions only where they leave a Span (its rows, reduce,
 and the results of nullspace and solve).  With eps > 0 entries within eps
 of zero are treated as zero and pivots are chosen by largest magnitude.
+A Span indexes its stored rows by column, so keeping them reduced visits
+only the rows that hold a new pivot's column.
 """
 
 import math
@@ -112,7 +114,9 @@ class Span:
     support.  In exact mode a stored row is in ints, primitive, with a
     positive value at its pivot; in float mode its pivot value is exactly
     1.0, which makes that column exactly zero in the rows it is subtracted
-    from.
+    from.  A column index maps each non-pivot column to the positions of
+    the stored rows that hold it (a set that may be left empty), so a new
+    pivot is back-substituted into exactly the rows listed under its column.
     """
 
     def __init__(self, eps=0, avoid_col=None):
@@ -121,6 +125,7 @@ class Span:
         self.pivots = []   # pivot column per stored row
         self._rows = []    # stored rows, in the order of pivots
         self._at = {}      # pivot column -> its position in pivots
+        self._cols = {}    # non-pivot column -> positions of the stored rows holding it
 
     @property
     def dim(self):
@@ -139,15 +144,25 @@ class Span:
 
     def _residue(self, v):
         """(out, s) with out / s the residue of v; out is in ints in exact mode."""
-        if self.eps:
+        eps = self.eps
+        if eps:
             out, s = {i: x for i, x in v.items() if x}, 1
         else:
             out, s = _clear_denominators(v)
-        # in the order the pivots were stored, which fixes the residue's key order
-        for k in sorted(self._at[i] for i in out if i in self._at):
+        at = self._at
+        hits = [at[i] for i in out if i in at]
+        if len(hits) > 1:
+            # in the order the pivots were stored, which fixes the residue's key order
+            hits.sort()
+        for k in hits:
             p, row = self.pivots[k], self._rows[k]
-            s *= _subtract_multiple(out, row, row[p], out[p])
-        return vec_chop(out, self.eps), s
+            if eps:
+                vec_add_scaled(out, row, -out[p])  # row[p] is exactly 1.0
+            else:
+                s *= _subtract_multiple(out, row, row[p], out[p])
+        if eps and out and min(map(abs, out.values())) <= eps:
+            out = vec_chop(out, eps)
+        return out, s
 
     def reduce(self, v):
         """Residue of v after eliminating every stored pivot column."""
@@ -157,7 +172,12 @@ class Span:
         return {i: Fraction(x, s) for i, x in out.items()}
 
     def add(self, v):
-        """Insert v; returns the reduced new basis row, or None if v was dependent."""
+        """Insert v; returns its pivot column, or None if v was dependent.
+
+        The new row is subtracted from the stored rows the column index
+        lists under its pivot; each update reads only the new row, so their
+        order does not matter.
+        """
         res, _ = self._residue(v)
         if not res:
             return None
@@ -168,14 +188,26 @@ class Span:
             res[p] = 1.0
         else:
             _make_primitive(res, p)
+        cols, n = self._cols, len(self.pivots)
+        hits = cols.pop(p, ())
+        for c in res:
+            if c != p:
+                cols.setdefault(c, set()).add(n)
         # keep fully reduced form (Gauss-Jordan)
-        for q, other in zip(self.pivots, self._rows):
-            if p in other and _subtract_multiple(other, res, res[p], other[p]) != 1:
-                _make_primitive(other, q)
-        self._at[p] = len(self.pivots)
+        a = res[p]
+        for k in hits:
+            other = self._rows[k]
+            if _subtract_multiple(other, res, a, other[p]) != 1:
+                _make_primitive(other, self.pivots[k])
+            for c in res:
+                if c in other:
+                    cols[c].add(k)
+                elif c != p:
+                    cols[c].discard(k)
+        self._at[p] = n
         self.pivots.append(p)
         self._rows.append(res)
-        return self._normalized(p, res)
+        return p
 
     def contains(self, v):
         return not self._residue(v)[0]

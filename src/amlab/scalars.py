@@ -12,6 +12,7 @@ eps (scalar(0) in rational mode, tol in float mode) is the only test, as
 """
 
 import math
+import reprlib
 from fractions import Fraction
 
 RATIONAL = "rational"
@@ -74,7 +75,11 @@ def unscale(mode, x, scale):
 
 
 def coerce(value, mode):
-    """Convert a raw scalar (int, float, Fraction or 'p/q' string) to the mode's type."""
+    """Convert a raw scalar (int, float, Fraction or 'p/q' string) to the mode's type.
+
+    In float mode a value beyond the float range is a SchemaError; an exact
+    string such as "1e400" stays a valid rational.
+    """
     if isinstance(value, bool):
         raise SchemaError(f"boolean is not a scalar: {value!r}")
     if mode == RATIONAL:
@@ -90,13 +95,15 @@ def coerce(value, mode):
             return Fraction(value)
         raise SchemaError(f"cannot coerce {value!r} to a rational")
     check_mode(mode)
-    if isinstance(value, str):
-        try:
+    try:
+        if isinstance(value, str):
             return float(Fraction(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"bad scalar literal {value!r}: {exc}") from None
-    if isinstance(value, (int, float, Fraction)):
-        return float(value)
+        if isinstance(value, (int, float, Fraction)):
+            return float(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"bad scalar literal {value!r}: {exc}") from None
+    except OverflowError:
+        raise SchemaError(f"scalar {reprlib.repr(value)} is beyond the float range") from None
     raise SchemaError(f"cannot coerce {value!r} to a float")
 
 

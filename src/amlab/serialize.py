@@ -10,6 +10,7 @@ presentation, and a stored tag is kept but not dereferenced.
 import csv
 import io
 import json
+import math
 
 from . import scalars
 from .algebra import AlgebraPresentation
@@ -377,10 +378,23 @@ def convergence_rows_csv(rows):
 
 # -- file helpers ----------------------------------------------------------
 
+def _non_finite(literal):
+    raise SchemaError(f"non-finite JSON number {literal}; scalars must be finite")
+
+
+def _finite_float(literal):
+    x = float(literal)
+    if math.isinf(x):
+        raise SchemaError(f"JSON number {literal} is beyond the float range")
+    return x
+
+
 def load_json(path):
+    """The JSON value in path; Infinity, NaN and numbers that overflow a float
+    (1e400) are a SchemaError that names the literal."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+            return json.load(f, parse_float=_finite_float, parse_constant=_non_finite)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:

@@ -180,6 +180,50 @@ def test_boolean_tensor_leg_exits_2(tmp_path, m2_file, capsys):
     assert "tensor leg indices must be integers" in err and "Traceback" not in err
 
 
+# JSON reads Infinity and NaN as floats, and numbers beyond the float range (1e400)
+# as inf; float mode cannot hold an exact value beyond its range either
+
+ONE_ELEMENT = {
+    "constant": '{"basis": ["a"], "mul": [[0, 0, 0, %s]]}',
+    "weight": '{"basis": ["a"], "weights": [%s], "mul": [[0, 0, 0, "1"]]}',
+    "unit": '{"basis": ["a"], "mul": [[0, 0, 0, "1"]], "unit": [%s]}',
+}
+DIGITS_401 = "1" * 401
+
+NON_FINITE = [
+    ("rational", "constant", "Infinity", "non-finite JSON number Infinity"),
+    ("rational", "constant", "1e400", "JSON number 1e400 is beyond the float range"),
+    ("rational", "constant", "NaN", "non-finite JSON number NaN"),
+    ("rational", "weight", "Infinity", "non-finite JSON number Infinity"),
+    ("rational", "weight", "1e400", "JSON number 1e400 is beyond the float range"),
+    ("rational", "unit", "Infinity", "non-finite JSON number Infinity"),
+    ("rational", "unit", "1e400", "JSON number 1e400 is beyond the float range"),
+    ("float", "constant", "Infinity", "non-finite JSON number Infinity"),
+    ("float", "constant", "-Infinity", "non-finite JSON number -Infinity"),
+    ("float", "weight", "Infinity", "non-finite JSON number Infinity"),
+    ("float", "constant", '"1e400"', "scalar '1e400' is beyond the float range"),
+    ("float", "constant", DIGITS_401, "scalar 111111111111111111...1111111111111111111 is beyond"),
+]
+LITERAL_IDS = {DIGITS_401: "401-digits", '"1e400"': "string-1e400"}
+
+
+@pytest.mark.parametrize("mode, field, literal, named", NON_FINITE, ids=[
+    f"{mode}-{field}-{LITERAL_IDS.get(literal, literal)}" for mode, field, literal, _ in NON_FINITE])
+def test_non_finite_scalar_exits_2(tmp_path, mode, field, literal, named, capsys):
+    path = tmp_path / "A.json"
+    path.write_text(ONE_ELEMENT[field] % literal)
+    assert main(["center", str(path), "--mode", mode]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("literal", ['"1e400"', DIGITS_401], ids=LITERAL_IDS.get)
+def test_exact_rationals_beyond_the_float_range_stay_valid(tmp_path, literal):
+    path = tmp_path / "A.json"
+    path.write_text(ONE_ELEMENT["weight"] % literal)
+    assert main(["center", str(path), "--mode", "rational", "--out", str(tmp_path / "c.json")]) == 0
+
+
 @pytest.mark.parametrize("group, message", [
     ({"table": [[False]]}, "group table must be a list of rows of integer indices"),
     ({"table": [5]}, "group table must be a list of rows of integer indices"),

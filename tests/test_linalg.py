@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from amlab import linalg
 
 from oracles import sympy_nullity, sympy_rank
@@ -165,8 +167,8 @@ class ReferenceSpan:
         return not self.reduce(v)
 
 
-def ref_nullspace(rows, ncols):
-    sp = ReferenceSpan()
+def ref_nullspace(rows, ncols, eps=0):
+    sp = ref_span(eps)
     for row in rows:
         sp.add(row)
     pivot_of = dict(zip(sp.pivots, sp.rows))
@@ -174,7 +176,7 @@ def ref_nullspace(rows, ncols):
     for f in range(ncols):
         if f in pivot_of:
             continue
-        v = {f: Fraction(1)}
+        v = {f: 1.0 if eps else Fraction(1)}
         for p, row in pivot_of.items():
             c = row.get(f)
             if c:
@@ -183,8 +185,8 @@ def ref_nullspace(rows, ncols):
     return basis
 
 
-def ref_solve(rows, rhs, ncols):
-    sp = ReferenceSpan(avoid_col=ncols)
+def ref_solve(rows, rhs, ncols, eps=0):
+    sp = ref_span(eps, avoid_col=ncols)
     for row, b in zip(rows, rhs):
         r = dict(row)
         if b:
@@ -254,7 +256,7 @@ def test_integer_kernel_matches_the_fraction_reference():
             got, want = sp.add(row), ref.add(row)
             assert (got is None) == (want is None)
             if got is not None:
-                assert list(got.items()) == list(want.items()) and exact([got])
+                assert got == ref.pivots[-1]
         assert sp.pivots == ref.pivots and sp.dim == len(ref.rows)
         assert items(sp.rows) == items(ref.rows) and exact(sp.rows)
         assert linalg.rank(rows) == len(ref.rows)
@@ -278,3 +280,105 @@ def test_integer_kernel_matches_the_fraction_reference():
                     == ref_coordinates_in_span(rows, target))
     assert seen == {(check, b) for check in ("contains", "solvable") for b in (True, False)}
 
+
+# -- the column index against the scan it replaced -----------------------------------------
+
+class ScanSpan:
+    """Float-mode Span before the column index: a new pivot is back-substituted
+    into every stored row that holds its column, found by testing all of them."""
+
+    def __init__(self, eps, avoid_col=None):
+        self.eps = eps
+        self.avoid_col = avoid_col
+        self.pivots = []
+        self.rows = []
+
+    def reduce(self, v):
+        out = {i: x for i, x in v.items() if x}
+        for p, row in zip(self.pivots, self.rows):
+            c = out.get(p)
+            if c:
+                ref_add_scaled(out, row, -c)
+        return {i: x for i, x in out.items() if abs(x) > self.eps}
+
+    def add(self, v):
+        res = self.reduce(v)
+        if not res:
+            return None
+        p, top = self.avoid_col, self.eps
+        for i, x in res.items():
+            if i != self.avoid_col and abs(x) > top:
+                p, top = i, abs(x)
+        inv = 1 / res[p]
+        res = {i: x * inv for i, x in res.items()}
+        res[p] = 1.0
+        for other in self.rows:
+            c = other.get(p)
+            if c:
+                ref_add_scaled(other, res, -c)
+        self.pivots.append(p)
+        self.rows.append(res)
+        return res
+
+
+def ref_span(eps, avoid_col=None):
+    return ScanSpan(eps, avoid_col) if eps else ReferenceSpan(avoid_col)
+
+
+def column_index(sp):
+    """Column -> positions of the stored rows holding it, recomputed from the rows."""
+    index = {}
+    for k, (p, row) in enumerate(zip(sp.pivots, sp._rows)):
+        for c in row:
+            if c != p:
+                index.setdefault(c, set()).add(k)
+    return index
+
+
+def rand_index_system(rng, ncols, eps):
+    """rand_system plus tails of earlier rows (one entry dropped, rescaled), which
+    cancel a column out of the stored rows they are back-substituted into."""
+    rows = rand_system(rng, ncols)
+    for _ in range(rng.randint(0, 4)):
+        nonzero = [r for r in rows if r]
+        if nonzero:
+            row = rng.choice(nonzero)
+            drop, c = rng.choice(list(row)), rand_scalar(rng)
+            rows.insert(rng.randint(0, len(rows)), {i: c * x for i, x in row.items() if i != drop})
+    if eps:
+        rows = [{i: float(x) for i, x in row.items()} for row in rows]
+    return rows
+
+
+@pytest.mark.parametrize("eps", [0, 1e-9], ids=["rational", "float"])
+def test_column_index_and_results_match_the_scan(eps):
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(300):
+        ncols = rng.randint(1, 8)
+        rows = rand_index_system(rng, ncols, eps)
+        rhs = [rand_scalar(rng) if rng.random() < 0.7 else 0 for _ in rows]
+        if eps:
+            rhs = [float(b) for b in rhs]
+        augmented = [{**row, ncols: b} if b else row for row, b in zip(rows, rhs)]
+        # solve's augmented system first, so sp and ref are the plain system's below
+        for system, avoid in ((augmented, ncols), (rows, None)):
+            sp, ref = linalg.Span(eps, avoid_col=avoid), ref_span(eps, avoid_col=avoid)
+            for row in system:
+                before = column_index(sp)
+                got, want = sp.add(row), ref.add(row)
+                assert got == (None if want is None else ref.pivots[-1])
+                after = column_index(sp)
+                assert {c: ks for c, ks in sp._cols.items() if ks} == after
+                if any(before[c] - after.get(c, set()) for c in before if c not in sp._at):
+                    seen.add("discard")
+                if got is not None and got == avoid:
+                    seen.add("avoid_col pivot")
+            assert sp.pivots == ref.pivots and items(sp.rows) == items(ref.rows)
+        probes = rand_index_system(rng, ncols, eps) + rows
+        for v in probes:
+            assert list(sp.reduce(v).items()) == list(ref.reduce(v).items())
+        assert items(linalg.nullspace(rows, ncols, eps)) == items(ref_nullspace(rows, ncols, eps))
+        sol, want = linalg.solve(rows, rhs, ncols, eps), ref_solve(rows, rhs, ncols, eps)
+        assert sol == want and (sol is None or list(sol.items()) == list(want.items()))
+    assert seen == {"discard", "avoid_col pivot"}
