@@ -10,12 +10,12 @@ defect gates (derivation_defect ... trace_defect) evaluate the terms of
 every pair on a map, since they report a norm.  classify_maps turns the
 terms into linear equations and solves them exactly by elimination, in
 rational mode only on the pairs a generating set needs
-(algebra.generating_set): the derivation and central rows for b_i in S,
-the Lie rows for the pairs meeting a Lie-generating set, and the trace rows
-as D(c) = 0 on a basis of [A, A].  These rows have the row space of all
-pairs (_identity_terms says why), so a gate is zero exactly when the map
-solves classify_maps' equations; the Jordan rows, and every row in float
-mode, keep every pair.
+(algebra.generating_set): the derivation rows for b_i in S and the Lie
+rows for the pairs meeting a Lie-generating set.  These rows have the row
+space of all pairs (_identity_terms says why), so a gate is zero exactly
+when the map solves classify_maps' equations; the Jordan rows, and every
+row in float mode, keep every pair.  Rational central_trace is read off as
+Hom(A/[A, A], Z(X)) from commutator_subspace and the module's center.
 
 In rational mode these run in ints: a bimodule's algebra.IntegerTables hold
 its algebra's and both action tables with one common denominator cleared,
@@ -48,7 +48,7 @@ from . import linalg, scalars
 from .algebra import (AlgebraError, AlgebraPresentation, BasisSpace, Element,
                       IntegerTables, PresentationError, _EMPTY, _act, _block_layout,
                       _shifted, commutator_subspace, generating_set)
-from .diagonals import defects
+from .diagonals import defects, unitized_diagonal
 from .maps import LinearMap, map_from_flat
 
 MAP_KINDS = ("derivation", "jordan", "lie", "central_trace")
@@ -119,28 +119,34 @@ class BimodulePresentation(BasisSpace):
         return {k: scalars.unscale(self.mode, c, scale) for k, c in vec.items()}
 
     def _check_module_laws(self):
-        """The three module laws on basis triples, in the integer form of the
-        tables (integer_tables): every side carries the factor D^2."""
+        """The three module laws on basis triples, on integer_tables (every side
+        carries the factor D^2); a law whose two sides read no table row at
+        x_k holds trivially and is skipped."""
         alg = self.algebra
         ints = self.integer_tables
         left, right = ints.left, ints.right
         for i in range(alg.dim):
+            left_i, right_i = left[i], right[i]
             for j in range(alg.dim):
-                prod = ints.mul.get((i, j), {})
+                prod = ints.mul.get((i, j), _EMPTY)
+                left_j, right_j = left[j], right[j]
                 for k in range(self.dim):
-                    ek = {k: 1}
-                    lhs = linalg.vec_combination((c, left[m].get(k)) for m, c in prod.items())
-                    if not self._agree(lhs, _act(left[i], _act(left[j], ek))):
+                    jk = left_j.get(k, _EMPTY)
+                    if (prod or jk) and not self._agree(
+                            linalg.vec_combination((c, left[m].get(k)) for m, c in prod.items()),
+                            _act(left_i, jk)):
                         raise PresentationError(
                             f"left module law fails at ({alg.labels[i]}, "
                             f"{alg.labels[j]}, {self.labels[k]})")
-                    lhs = linalg.vec_combination((c, right[m].get(k)) for m, c in prod.items())
-                    if not self._agree(lhs, _act(right[j], _act(right[i], ek))):
+                    ki = right_i.get(k, _EMPTY)
+                    if (prod or ki) and not self._agree(
+                            linalg.vec_combination((c, right[m].get(k)) for m, c in prod.items()),
+                            _act(right_j, ki)):
                         raise PresentationError(
                             f"right module law fails at ({self.labels[k]}, "
                             f"{alg.labels[i]}, {alg.labels[j]})")
-                    if not self._agree(_act(right[j], _act(left[i], ek)),
-                                       _act(left[i], _act(right[j], ek))):
+                    ik, kj = left_i.get(k, _EMPTY), right_j.get(k, _EMPTY)
+                    if (ik or kj) and not self._agree(_act(right_j, ik), _act(left_i, kj)):
                         raise PresentationError(
                             f"mixed module law fails at ({alg.labels[i]}, "
                             f"{self.labels[k]}, {alg.labels[j]})")
@@ -213,10 +219,8 @@ def direct_sum_bimodule(modules, name=None):
     for o, m in zip(offsets, modules):
         left.update(_shifted(m.left, 0, o, o))
         right.update(_shifted(m.right, o, 0, o))
-    out = BimodulePresentation(algebra, labels, left, right, weights,
-                               name or "module sum", validate=False)
-    out.block_offsets = offsets
-    return out
+    return BimodulePresentation(algebra, labels, left, right, weights,
+                                name or "module sum", validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -438,36 +442,37 @@ def _identity_rows(algebra, X, kind, gens=None):
     return rows
 
 
-def _trace_rows(algebra, X):
-    """D(c) = 0 for c in the basis of [A, A] from commutator_subspace, one row
-    per basis vector and module coordinate: the row space of the trace
-    identity on all pairs.  Float mode keeps the identity on all pairs, as
-    generating_set keeps the whole basis there."""
-    if algebra.eps:
-        return _identity_rows(algebra, X, "trace")
+def _central_traces(algebra, X):
+    """Hom(A/[A, A], Z(X)): the maps w (x) z, entry w_q z_k at q*m + k, for w
+    in the nullspace of a basis of [A, A] and z in X.center(), in that order;
+    a factor's basis vector is 1 at its own free column, 0 at the others' and
+    ends there, so these are nullspace's basis of every pair's rows, in order."""
     m = X.dim
-    return [{q * m + l: c for q, c in z.coeffs.items()}
-            for z in commutator_subspace(algebra) for l in range(m)]
+    traces = linalg.nullspace([c.coeffs for c in commutator_subspace(algebra)], algebra.dim)
+    center = X.center()
+    return [map_from_flat(algebra, X, {q * m + k: a * b for q, a in w.items()
+                                       for k, b in z.coeffs.items()})
+            for w in traces for z in center]
 
 
 def classify_maps(algebra, X, kind):
     """Exact basis of the space of maps satisfying the requested identity.
 
     kind is one of "derivation", "jordan", "lie" or "central_trace"
-    (central-valued maps killing commutators).  In rational mode the
-    derivation and central rows are built for i in a generating set only,
-    the Lie rows for the pairs meeting a Lie-generating set
-    (algebra.generating_set, computed here) and the trace rows on a basis
-    of [A, A]; each has the row space of the identity on all pairs, so the
-    solution space is the same.  Float mode, where no generating set is
-    proven, and the Jordan rows, for which no such closure argument is
-    known, keep every pair.
+    (central-valued maps killing commutators).  In rational mode
+    central_trace is read off as Hom(A/[A, A], Z(X)), the derivation rows
+    are built for i in a generating set only and the Lie rows for the pairs
+    meeting a Lie-generating set (algebra.generating_set, computed here),
+    which have the row space of the identity on all pairs.  Float mode,
+    where no generating set is proven, and the Jordan rows, for which no
+    such closure argument is known, keep every pair.
     """
     if X.algebra is not algebra:
         raise AlgebraError("module is not over the given algebra")
     if kind == "central_trace":
-        gens = generating_set(algebra)
-        rows = _identity_rows(algebra, X, "central", gens) + _trace_rows(algebra, X)
+        if not algebra.eps:
+            return _central_traces(algebra, X)
+        rows = _identity_rows(algebra, X, "central") + _identity_rows(algebra, X, "trace")
     elif kind in ("derivation", "lie"):
         gens = generating_set(algebra, lie=kind == "lie")
         rows = _identity_rows(algebra, X, kind, gens)
@@ -540,7 +545,6 @@ def _prepare_diagonal(X, t, tolerance=None):
     tensor: the quality reads their max, the residual bounds read their
     rows, and decomposition loops re-verify the same diagonal many times.
     """
-    from .diagonals import unitized_diagonal
     algebra = X.algebra
     if t.space is algebra:
         if "unitized" not in t._cache:

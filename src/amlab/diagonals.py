@@ -17,7 +17,7 @@ all four defects zero is an exact symmetric diagonal.
 from dataclasses import dataclass, field
 
 from . import linalg
-from .algebra import AlgebraError, multiply
+from .algebra import AlgebraError, multiply, unitize
 from .catalog import (direct_sum_algebra, group_algebra, matrix_algebra,
                       matrix_unit_index)
 from .maps import check_epimorphism
@@ -305,7 +305,6 @@ def unitized_diagonal(t):
     is t + (e - u) (x) (e - u); its contraction is e and it inherits
     symmetry and exactness over the unitization.
     """
-    from .algebra import unitize
     algebra = t.space
     if algebra.unit is None:
         raise AlgebraError("lifting a diagonal needs a unital carrier")

@@ -1,7 +1,7 @@
 """Linear maps between presented spaces, stored by images of basis vectors."""
 
 from . import linalg
-from .algebra import AlgebraError, Element, multiply
+from .algebra import AlgebraError, Element, PresentationError, multiply
 from .scalars import SchemaError
 
 
@@ -134,7 +134,6 @@ def is_surjective(theta):
 
 def check_epimorphism(theta):
     """Raise unless theta is a multiplicative surjection (within the codomain's eps)."""
-    from .algebra import PresentationError
     d = hom_defect(theta)
     if d > theta.codomain.eps:
         raise PresentationError(f"map is not multiplicative on basis pairs (defect {d})")

@@ -77,22 +77,20 @@ def unscale(mode, x, scale):
 def coerce(value, mode):
     """Convert a raw scalar (int, float, Fraction or 'p/q' string) to the mode's type.
 
-    In float mode a value beyond the float range is a SchemaError; an exact
-    string such as "1e400" stays a valid rational.
+    A non-finite float in rational mode, or a value beyond the float range in
+    float mode, is a SchemaError; an exact string such as "1e400" is a rational.
     """
     if isinstance(value, bool):
         raise SchemaError(f"boolean is not a scalar: {value!r}")
     if mode == RATIONAL:
         if isinstance(value, Fraction):
             return value
-        if isinstance(value, (int, str)):
+        if isinstance(value, (int, str, float)):
             try:
+                # a float converts exactly: 0.5 -> 1/2
                 return Fraction(value)
-            except (ValueError, ZeroDivisionError) as exc:
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise SchemaError(f"bad rational literal {value!r}: {exc}") from None
-        if isinstance(value, float):
-            # exact binary-to-rational conversion; 0.5 -> 1/2
-            return Fraction(value)
         raise SchemaError(f"cannot coerce {value!r} to a rational")
     check_mode(mode)
     try:
@@ -109,13 +107,13 @@ def coerce(value, mode):
 
 def to_json(x):
     """JSON form of a scalar: Fractions become 'p/q' (or 'p') strings."""
-    if isinstance(x, Fraction):
+    if type(x) is Fraction:
         return str(x)
     return x
 
 
 def render(x):
     """Text form for CSV output: exact for rationals, 17 significant digits for floats."""
-    if isinstance(x, Fraction):
+    if type(x) is Fraction:
         return str(x)
     return format(float(x), ".17g")

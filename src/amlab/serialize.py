@@ -15,6 +15,7 @@ import math
 from . import scalars
 from .algebra import AlgebraPresentation
 from .derivations import BimodulePresentation
+from .diagonals import DiagonalNet
 from .maps import LinearMap
 from .scalars import SchemaError
 from .tensor import Tensor2
@@ -171,7 +172,6 @@ def net_to_dict(net):
 
 
 def net_from_dict(data, space):
-    from .diagonals import DiagonalNet
     entries = [tensor_from_dict({"terms": terms}, space)
                for terms in _as_list(data, "entries")]
     test_set, labels = element_list_from_dict({"elements": _as_list(data, "test_set")}, space)

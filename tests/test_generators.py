@@ -1,19 +1,20 @@
 """Generating sets, and the identity systems classify_maps builds on them.
 
-In rational mode classify_maps eliminates the derivation and central rows
-for i in a generating set only, the Lie rows for the pairs meeting a
-Lie-generating set and the trace rows on a basis of [A, A]; float mode keeps
-every pair.  The oracle here is the identity on
-every ordered basis pair, written out in Fraction (or float) arithmetic on the
-presentation's own tables, independently of the library's term encoding.
+In rational mode classify_maps eliminates the derivation rows for i in a
+generating set only (central_derivation_space also the central rows) and
+the Lie rows for the pairs meeting a Lie-generating set, and reads the
+central traces off as Hom(A/[A, A], Z(X)); float mode keeps every pair.
+The oracle here is the identity on every ordered basis pair, written out in
+Fraction (or float) arithmetic on the presentation's own tables,
+independently of the library's term encoding.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from amlab import (AlgebraPresentation, central_derivation_space, classify_maps,
-                   cyclic_group_table, derivations, direct_sum_algebra,
+from amlab import (AlgebraPresentation, BimodulePresentation, central_derivation_space,
+                   classify_maps, cyclic_group_table, derivations, direct_sum_algebra,
                    direct_sum_bimodule, group_algebra, linalg, matrix_algebra, multiply,
                    quotient_bimodule, regular_bimodule, symmetric_group_table,
                    upper_triangular_algebra)
@@ -247,8 +248,9 @@ def test_float_classify_has_the_dimensions_of_every_pair(A):
 
 
 def test_classify_eliminates_fewer_rows_except_for_jordan(monkeypatch):
-    """Derivation, Lie and central-trace rows shrink; the Jordan rows are the
-    identity on every pair, as the gates are."""
+    """Derivation and Lie rows shrink, central traces first solve the small
+    system of [A, A]'s basis, and the Jordan rows are the identity on every
+    pair, as the gates are."""
     seen = []
     nullspace = linalg.nullspace
     monkeypatch.setattr(linalg, "nullspace",
@@ -279,3 +281,55 @@ def test_float_classify_eliminates_the_rows_of_every_pair(A, monkeypatch):
     central_derivation_space(A, X)
     assert seen == [derivations._identity_rows(A, X, "derivation")
                     + derivations._identity_rows(A, X, "central")]
+
+
+def modulo(X, indices):
+    """X modulo the invariant subspace spanned by the module basis vectors at indices."""
+    return quotient_bimodule(X, [X.basis_element(k) for k in indices])[0]
+
+
+def central_trace_modules():
+    """Modules whose center is not their algebra's, with dim Hom(A/[A, A], Z(X))."""
+    t3 = upper_triangular_algebra(3)
+    one_sided = BimodulePresentation(t3, t3.labels, t3.mul, {}, name="T3 left only")
+    diagonal = modulo(regular_bimodule(t3), [1, 2, 4])     # T3 mod E12, E13, E23
+    sum_algebra = direct_sum_algebra([matrix_algebra(2), t3])
+    t3_block = modulo(regular_bimodule(sum_algebra), range(4))
+    m3 = changed_basis_m3()
+    return [(one_sided, 0), (diagonal, 9), (t3_block, 4),
+            (direct_sum_bimodule([regular_bimodule(t3)] * 2), 6),
+            (direct_sum_bimodule([one_sided, diagonal]), 9),
+            (direct_sum_bimodule([t3_block, t3_block]), 8),
+            (module_on_new_basis(m3, m3), 1),
+            (direct_sum_bimodule([module_on_new_basis(m3, m3)] * 2), 2)]
+
+
+CENTRAL_TRACE_IDS = ["T3 one-sided", "T3 mod upper", "M2+T3 mod M2", "T3 doubled",
+                     "one-sided + T3 mod upper", "M2+T3 mod M2 doubled",
+                     "M3 changed, new basis", "M3 changed, new basis doubled"]
+
+
+@pytest.mark.parametrize("X,dim", central_trace_modules(), ids=CENTRAL_TRACE_IDS)
+def test_central_traces_are_the_solutions_of_every_pair(X, dim):
+    """Hom(A/[A, A], Z(X)) read off the factors is the nullspace of the central
+    and trace rows on every pair: the same Fractions, in the same order."""
+    A = X.algebra
+    got = [flatten_map(D) for D in classify_maps(A, X, "central_trace")]
+    want = full_pair_nullspace(A, X, ("central", "trace"))
+    assert len(got) == dim
+    assert [sorted(v.items()) for v in got] == [sorted(v.items()) for v in want]
+    assert all(type(c) is Fraction for v in got for c in v.values())
+
+
+@pytest.mark.parametrize("X,dim", central_trace_modules(), ids=CENTRAL_TRACE_IDS)
+def test_rational_central_traces_eliminate_no_system_over_the_maps(X, dim, monkeypatch):
+    """Only the d-column system of [A, A] and the m-column one of the center are
+    solved; no identity row is built and no generating set is sought."""
+    A, seen = X.algebra, []
+    nullspace = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace",
+                        lambda rows, ncols, *a: seen.append(ncols) or nullspace(rows, ncols, *a))
+    for name in ("_identity_rows", "generating_set"):
+        monkeypatch.setattr(derivations, name, lambda *a, **k: pytest.fail("called"))
+    assert len(classify_maps(A, X, "central_trace")) == dim
+    assert seen == [A.dim, X.dim]

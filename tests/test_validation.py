@@ -14,21 +14,22 @@ from fractions import Fraction
 
 import pytest
 
-from amlab import (AlgebraPresentation, BimodulePresentation, group_algebra,
-                   matrix_algebra, serialize)
+from amlab import (AlgebraPresentation, BimodulePresentation, direct_sum_bimodule,
+                   group_algebra, matrix_algebra, quotient_bimodule, regular_bimodule,
+                   serialize, upper_triangular_algebra)
 from amlab.algebra import PresentationError
 from amlab.catalog import cyclic_group_table, symmetric_group_table
 from amlab.cli import main
-from amlab.scalars import FLOAT, RATIONAL, SchemaError, clear_denominators
+from amlab.scalars import DEFAULT_FLOAT_TOL, FLOAT, RATIONAL, SchemaError, clear_denominators
 
 
 def times(table, u, v):
-    """sum u_i v_j table[(i, j)] in Fractions, zeros dropped."""
+    """sum u_i v_j table[(i, j)] on int and Fraction entries, zeros dropped."""
     out = {}
     for i, a in u.items():
         for j, b in v.items():
             for k, c in table.get((i, j), {}).items():
-                out[k] = out.get(k, 0) + Fraction(a) * Fraction(b) * Fraction(c)
+                out[k] = out.get(k, 0) + a * b * c
     return {k: x for k, x in out.items() if x}
 
 
@@ -40,23 +41,31 @@ def associativity_failures(dim, mul):
             != times(mul, e[i], times(mul, e[j], e[k]))}
 
 
-def module_law_failures(alg_dim, mod_dim, mul, left, right):
-    """Every failing law as (law, indices in the order the error message names them)."""
+def module_law_failures(alg_dim, mod_dim, mul, left, right, weights=None, tol=0):
+    """Each failing law as (law, indices in the order the error message names
+    them), in the order i, j, k, then left, right, mixed.  A law fails where
+    the weighted norm of the difference of its sides exceeds tol."""
     e = [{i: 1} for i in range(alg_dim)]
     x = [{k: 1} for k in range(mod_dim)]
-    out = set()
+    w = weights or [1] * mod_dim
+
+    def differ(u, v):
+        diff = dict(u)
+        for k, c in v.items():
+            diff[k] = diff.get(k, 0) - c
+        return sum(abs(c) * w[k] for k, c in diff.items()) > tol
+
     for i in range(alg_dim):
         for j in range(alg_dim):
             ab = times(mul, e[i], e[j])
             for k in range(mod_dim):
-                if times(left, ab, x[k]) != times(left, e[i], times(left, e[j], x[k])):
-                    out.add(("left", i, j, k))
-                if times(right, x[k], ab) != times(right, times(right, x[k], e[i]), e[j]):
-                    out.add(("right", k, i, j))
-                if (times(right, times(left, e[i], x[k]), e[j])
-                        != times(left, e[i], times(right, x[k], e[j]))):
-                    out.add(("mixed", i, k, j))
-    return out
+                if differ(times(left, ab, x[k]), times(left, e[i], times(left, e[j], x[k]))):
+                    yield "left", i, j, k
+                if differ(times(right, x[k], ab), times(right, times(right, x[k], e[i]), e[j])):
+                    yield "right", k, i, j
+                if differ(times(right, times(left, e[i], x[k]), e[j]),
+                          times(left, e[i], times(right, x[k], e[j]))):
+                    yield "mixed", i, k, j
 
 
 def rescaled_mul(algebra, s):
@@ -220,7 +229,7 @@ def m2_rescaled_files(tmp_path):
 
 def classify_bimodule(tmp_path, algebra_path, A, left, right, capsys):
     """Exit code and stderr of `amlab classify derivation` on a JSON bimodule."""
-    failures = module_law_failures(A.dim, A.dim, A.mul, left, right)
+    failures = list(module_law_failures(A.dim, A.dim, A.mul, left, right))
     X = {"basis": list(A.labels),
          "left": [[i, j, k, str(c)] for (i, j), row in left.items() for k, c in row.items()],
          "right": [[j, i, k, str(c)] for (j, i), row in right.items() for k, c in row.items()]}
@@ -240,7 +249,7 @@ def test_regular_bimodule_of_rescaled_m2_loads(tmp_path, m2_rescaled_files, caps
     A, path = m2_rescaled_files
     mul = {key: dict(row) for key, row in A.mul.items()}
     code, err, failures = classify_bimodule(tmp_path, path, A, mul, mul, capsys)
-    assert failures == set() and code == 0, err
+    assert failures == [] and code == 0, err
     for mode in (RATIONAL, FLOAT):
         B = AlgebraPresentation(A.labels, A.mul, mode=mode)
         BimodulePresentation(B, B.labels, B.mul, B.mul, validate=True)
@@ -273,3 +282,118 @@ def test_incompatible_actions_fail_the_mixed_law(tmp_path, m2_rescaled_files, ca
     assert code == 3
     assert {f[0] for f in failures} == {"mixed"}
     assert law_named(A, err.strip()) in failures
+
+
+def file_form(X):
+    """X as a bimodule file, with its own action tables."""
+    return {"basis": list(X.labels), "weights": [str(w) for w in X.weights],
+            "left": [[i, j, k, str(c)] for (i, j), row in X.left.items() for k, c in row.items()],
+            "right": [[j, i, k, str(c)] for (j, i), row in X.right.items()
+                      for k, c in row.items()]}
+
+
+def law_modules():
+    """Bimodules whose tables the perturbation test moves, one entry at a time."""
+    m2, t3 = rescaled_m2(), upper_triangular_algebra(3)
+    R = regular_bimodule(t3)
+    return {"M2 rescaled": regular_bimodule(m2), "T3": R,
+            "S3": regular_bimodule(group_algebra(*symmetric_group_table(3))),
+            "T3 doubled": direct_sum_bimodule([R, R]),
+            "T3 one-sided": BimodulePresentation(t3, t3.labels, t3.mul, {}),
+            "T3 mod upper": quotient_bimodule(R, [R.basis_element(k) for k in (1, 2, 4)])[0]}
+
+
+def law_message(law, indices, alg_labels, mod_labels):
+    """The error text that names the failing law at indices."""
+    module_slot = {"left": 2, "right": 0, "mixed": 1}[law]
+    names = [(mod_labels if n == module_slot else alg_labels)[idx]
+             for n, idx in enumerate(indices)]
+    return f"{law} module law fails at ({', '.join(names)})"
+
+
+def first_law_failure(algebra, data):
+    """The message for the reference's first failure on a bimodule file, or
+    None.  Over a float algebra the reference runs on the float values of the
+    constants, with the algebra's tolerance."""
+    if algebra.mode == RATIONAL:
+        value, tol = Fraction, 0
+    else:
+        value, tol = (lambda c: Fraction(float(Fraction(c)))), Fraction(algebra.tol)
+    left, right = {}, {}
+    for table, rows in ((left, data["left"]), (right, data["right"])):
+        for a, b, k, c in rows:
+            table.setdefault((a, b), {})[k] = value(c)
+    mul = {key: {k: value(c) for k, c in row.items()} for key, row in algebra.mul.items()}
+    failure = next(module_law_failures(algebra.dim, len(data["basis"]), mul, left, right,
+                                       [value(w) for w in data["weights"]], tol), None)
+    if failure is None:
+        return None
+    law, *indices = failure
+    return law_message(law, indices, algebra.labels, data["basis"])
+
+
+def library_law_failure(algebra, data):
+    try:
+        serialize.bimodule_from_dict(data, algebra)
+    except PresentationError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", list(law_modules()))
+def test_module_laws_under_one_coefficient_perturbations(name):
+    """Every action entry moved by 1/10^12 in rational mode, and by just below
+    and just above the tolerance in float mode: the library rejects exactly
+    the moves the reference rejects and names the same first failure."""
+    X = law_modules()[name]
+    tol = Fraction(DEFAULT_FLOAT_TOL)
+    algebras = {mode: serialize.algebra_from_dict(serialize.algebra_to_dict(X.algebra), mode)
+                for mode in (RATIONAL, FLOAT)}
+    data = file_form(X)
+    moves = [(RATIONAL, Fraction(1, 10 ** 12)), (FLOAT, tol * 15 / 16), (FLOAT, tol * 17 / 16)]
+    seen = {True: 0, False: 0}
+    for mode in (RATIONAL, FLOAT):
+        assert library_law_failure(algebras[mode], data) is None
+    for table in ("left", "right"):
+        for n, entry in enumerate(data[table]):
+            for mode, delta in moves:
+                moved = dict(data, **{table: list(data[table])})
+                moved[table][n] = entry[:3] + [str(Fraction(entry[3]) + delta)]
+                want = first_law_failure(algebras[mode], moved)
+                assert library_law_failure(algebras[mode], moved) == want, (table, entry, delta)
+                seen[want is None] += 1
+    assert seen[False], "no move was rejected"
+    # rescaled M2's constants carry factors of 10, which lift every move past tol
+    assert seen[True] or name == "M2 rescaled", "no move was accepted"
+
+
+# a * a = 0 acting on x0, x1, x2: b_i b_j = 0 on the one pair, so a law can
+# fail only where one side reads no table row
+ONE_SIDED_FAILURES = {
+    "left": ([[0, 0, 1, "1"], [0, 1, 0, "1"]], []),     # a(a x0) = x0, (aa) x0 = 0
+    "right": ([], [[0, 0, 1, "1"], [1, 0, 0, "1"]]),
+    "mixed": ([[0, 1, 2, "1"]], [[0, 0, 1, "1"]]),      # (a x0) a = 0, a (x0 a) = x2
+}
+
+
+@pytest.mark.parametrize("law", list(ONE_SIDED_FAILURES))
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_a_law_with_one_empty_side_is_still_checked(law, mode):
+    algebra = AlgebraPresentation(["a"], {}, mode=mode)
+    left, right = ONE_SIDED_FAILURES[law]
+    data = {"basis": ["x0", "x1", "x2"], "weights": ["1"] * 3, "left": left, "right": right}
+    want = first_law_failure(algebra, data)
+    assert want.startswith(law)
+    assert library_law_failure(algebra, data) == want
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_float_is_a_schema_error_in_rational_mode(value):
+    with pytest.raises(SchemaError, match=re.escape(repr(value))):
+        matrix_algebra(2).scalar(value)
+    with pytest.raises(SchemaError, match=re.escape(repr(value))):
+        AlgebraPresentation(["a"], {(0, 0): {0: 1}}, weights=[value])
+    with pytest.raises(SchemaError, match=re.escape(repr(value))):
+        AlgebraPresentation(["a"], {(0, 0): {0: value}})
+    # float mode keeps such values: a float tensor may carry one
+    assert repr(matrix_algebra(2, mode=FLOAT).scalar(value)) == repr(value)
