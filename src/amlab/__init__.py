@@ -28,7 +28,8 @@ from .diagonals import (DefectReport, DiagonalNet, basis_test_set, defect_report
                         defects, direct_sum_diagonal, group_diagonal,
                         ideal_diagonal, matrix_diagonal, max_defect,
                         pushforward_diagonal, support_block, tail_mass,
-                        truncated_matrix_diagonal, unitized_diagonal)
+                        trace_form_diagonal, truncated_matrix_diagonal,
+                        unitized_diagonal)
 from .maps import LinearMap, check_epimorphism, hom_defect, is_surjective
 from .scalars import DEFAULT_FLOAT_TOL, FLOAT, RATIONAL, SchemaError
 from .tensor import (Tensor2, contract, contract_swapped, elementary, flip,

@@ -7,9 +7,13 @@ triples.  A map D into the module is a derivation / Jordan derivation /
 Lie derivation when the corresponding product rule holds.  Each identity
 is written once, as per-basis-pair terms (_identity_terms).  The five
 defect gates (derivation_defect ... trace_defect) evaluate the terms of
-every pair on a map, since they report a norm.  classify_maps turns the
-terms into linear equations and solves them exactly by elimination, in
-rational mode only on the pairs a generating set needs
+every pair on a map, since they report a norm.  classify_maps returns the
+solution space of those terms' linear equations.  In rational mode, on an
+algebra whose trace-form diagonal (diagonals.trace_form_diagonal) is
+certified an exact symmetric diagonal, the derivation, Jordan and Lie
+spaces are read off the decomposition theorems: inner derivations, plus
+central traces for Lie.  Otherwise the equations are solved exactly by
+elimination, in rational mode only on the pairs a generating set needs
 (algebra.generating_set): the derivation rows for b_i in S and the Lie
 rows for the pairs meeting a Lie-generating set.  These rows have the row
 space of all pairs (_identity_terms says why), so a gate is zero exactly
@@ -48,7 +52,7 @@ from . import linalg, scalars
 from .algebra import (AlgebraError, AlgebraPresentation, BasisSpace, Element,
                       IntegerTables, PresentationError, _EMPTY, _act, _block_layout,
                       _shifted, commutator_subspace, generating_set)
-from .diagonals import defects, unitized_diagonal
+from .diagonals import defects, trace_form_diagonal, unitized_diagonal
 from .maps import LinearMap, map_from_flat
 
 MAP_KINDS = ("derivation", "jordan", "lie", "central_trace")
@@ -443,44 +447,102 @@ def _identity_rows(algebra, X, kind, gens=None):
 
 
 def _central_traces(algebra, X):
-    """Hom(A/[A, A], Z(X)): the maps w (x) z, entry w_q z_k at q*m + k, for w
-    in the nullspace of a basis of [A, A] and z in X.center(), in that order;
-    a factor's basis vector is 1 at its own free column, 0 at the others' and
-    ends there, so these are nullspace's basis of every pair's rows, in order."""
+    """Hom(A/[A, A], Z(X)), flattened: the maps w (x) z, entry w_q z_k at
+    q*m + k, for w in the nullspace of a basis of [A, A] and z in X.center(),
+    in that order; a factor's basis vector is 1 at its own free column, 0 at
+    the others' and ends there, so these are nullspace's basis of every
+    pair's rows, in order."""
     m = X.dim
     traces = linalg.nullspace([c.coeffs for c in commutator_subspace(algebra)], algebra.dim)
     center = X.center()
-    return [map_from_flat(algebra, X, {q * m + k: a * b for q, a in w.items()
-                                       for k, b in z.coeffs.items()})
+    return [{q * m + k: a * b for q, a in w.items() for k, b in z.coeffs.items()}
             for w in traces for z in center]
+
+
+def _has_exact_symmetric_diagonal(algebra):
+    """True when trace_form_diagonal gives a tensor that passes the certificate:
+    symmetric, with all four defects zero at each element of a generating set.
+
+    The generators suffice: the elements a at which all four defects vanish
+    form a subalgebra, as (ab) t = a (t b) = (t a) b = t (ab) and
+    c (ab) = (c a) b = ab for c = contract(t), and likewise for the flip.
+    """
+    omega, _ = trace_form_diagonal(algebra)
+    return omega is not None and omega.symmetry_defect() == 0 and all(
+        max(defects(omega, algebra.basis_element(s))) == 0 for s in generating_set(algebra))
+
+
+def _by_the_theorems(algebra, X, kind):
+    """The derivation, Jordan or Lie maps of an algebra with an exact symmetric
+    diagonal, read off the decomposition theorems (B. E. Johnson 1996; the
+    paper's last section): into every bimodule every derivation is inner,
+    every Jordan derivation is a derivation, and every Lie derivation is a
+    derivation plus a central trace.  So derivation = jordan = span{ad_x_j}
+    over the module basis, with ad_x_j(b_q) = b_q x_j - x_j b_q read off
+    integer_tables, and lie adds _central_traces.
+
+    The span is returned in nullspace's canonical form, the reduced basis
+    whose rows end at distinct columns with a 1 there and a 0 at the others'
+    ends, sorted by that column: column c enters one Span as N - 1 - c, so
+    each stored row's pivot is its largest column.
+    """
+    m, N = X.dim, algebra.dim * X.dim
+    ints = X.integer_tables
+    vectors = [{} for _ in range(m)]
+    for q in range(algebra.dim):
+        end = N - 1 - q * m
+        for sign, rows in ((1, ints.left[q]), (-1, ints.right[q])):
+            for j, row in rows.items():
+                linalg.vec_add_scaled(vectors[j], {end - k: c for k, c in row.items()}, sign)
+    if kind == "lie":
+        vectors.extend({N - 1 - c: x for c, x in v.items()}
+                       for v in _central_traces(algebra, X))
+    rows = linalg.span_basis(vectors).rows
+    return sorted(({N - 1 - c: x for c, x in row.items()} for row in rows), key=max)
+
+
+def _eliminated(algebra, X, kind):
+    """nullspace of the identity rows of kind: the derivation and Lie rows on
+    a generating set (the whole basis in float mode), the Jordan rows on
+    every pair, and for central_trace the central and trace rows."""
+    if kind == "central_trace":
+        rows = _identity_rows(algebra, X, "central") + _identity_rows(algebra, X, "trace")
+    elif kind == "jordan":
+        rows = _identity_rows(algebra, X, kind)
+    else:
+        rows = _identity_rows(algebra, X, kind, generating_set(algebra, lie=kind == "lie"))
+    return linalg.nullspace(rows, algebra.dim * X.dim, algebra.eps)
 
 
 def classify_maps(algebra, X, kind):
     """Exact basis of the space of maps satisfying the requested identity.
 
     kind is one of "derivation", "jordan", "lie" or "central_trace"
-    (central-valued maps killing commutators).  In rational mode
-    central_trace is read off as Hom(A/[A, A], Z(X)), the derivation rows
-    are built for i in a generating set only and the Lie rows for the pairs
-    meeting a Lie-generating set (algebra.generating_set, computed here),
-    which have the row space of the identity on all pairs.  Float mode,
-    where no generating set is proven, and the Jordan rows, for which no
-    such closure argument is known, keep every pair.
+    (central-valued maps killing commutators).  The basis is nullspace's
+    canonical one for the identity's equations on the flattened map matrix.
+
+    In rational mode central_trace is read off as Hom(A/[A, A], Z(X)).  For
+    the other kinds the trace-form diagonal (diagonals.trace_form_diagonal)
+    is built and certified exact and symmetric first; when it passes, the
+    space is spanned by the inner derivations, plus the central traces for
+    lie (_by_the_theorems).  When it does not, as on a non-semisimple
+    algebra, the equations are eliminated: the derivation rows for i in a
+    generating set only and the Lie rows for the pairs meeting a
+    Lie-generating set (algebra.generating_set), which have the row space of
+    the identity on all pairs, and the Jordan rows, for which no such closure
+    argument is known, on every pair.  Float mode, where no generating set is
+    proven, eliminates every pair's rows for each kind.
     """
     if X.algebra is not algebra:
         raise AlgebraError("module is not over the given algebra")
-    if kind == "central_trace":
-        if not algebra.eps:
-            return _central_traces(algebra, X)
-        rows = _identity_rows(algebra, X, "central") + _identity_rows(algebra, X, "trace")
-    elif kind in ("derivation", "lie"):
-        gens = generating_set(algebra, lie=kind == "lie")
-        rows = _identity_rows(algebra, X, kind, gens)
-    elif kind == "jordan":
-        rows = _identity_rows(algebra, X, kind)
-    else:
+    if kind not in MAP_KINDS:
         raise ValueError(f"unknown map kind {kind!r}; expected one of {MAP_KINDS}")
-    basis = linalg.nullspace(rows, algebra.dim * X.dim, algebra.eps)
+    if not algebra.eps and kind == "central_trace":
+        basis = _central_traces(algebra, X)
+    elif not algebra.eps and _has_exact_symmetric_diagonal(algebra):
+        basis = _by_the_theorems(algebra, X, kind)
+    else:
+        basis = _eliminated(algebra, X, kind)
     return [map_from_flat(algebra, X, v) for v in basis]
 
 

@@ -232,6 +232,41 @@ def group_diagonal(table, labels=None, algebra=None, mode=RATIONAL):
     return Tensor2(algebra, coeffs)
 
 
+def trace_form_diagonal(algebra):
+    """(Omega, radical) from the trace form G_ij = tr(L_{b_i b_j}) of any
+    presentation, in rational mode; tr(L_{b_k}) = sum_m c_kmm.
+
+    [G | I] is eliminated in one Span.  When G is nonsingular its reduced rows
+    are [I | G^-1], and Omega = sum_j b_j (x) e^j, with e^j = sum_k (G^-1)_jk b_k
+    the basis dual to b under the trace form, is returned with an empty
+    radical.  Omega is the Casimir element of an invariant form, so it
+    commutes with A and is symmetric (G is), and its contraction is the unit.
+    When G is singular the augmented parts of the rows whose G part reduced
+    to zero span the nullspace of G; that is returned as the radical with no
+    tensor, since in characteristic 0 it is the Jacobson radical (Dickson)
+    and an algebra with a diagonal is semisimple.
+    """
+    if algebra.eps:
+        raise AlgebraError("the trace-form diagonal is computed in rational mode")
+    d, mul = algebra.dim, algebra.mul
+    trace = [sum(mul.get((k, m), {}).get(m, 0) for m in range(d)) for k in range(d)]
+    sp = linalg.Span()
+    for i in range(d):
+        row = {d + i: 1}
+        for j in range(d):
+            g = sum(c * trace[k] for k, c in mul.get((i, j), {}).items())
+            if g:
+                row[j] = g
+        sp.add(row)
+    rows = list(zip(sp.pivots, sp.rows))
+    radical = [algebra.element({c - d: x for c, x in row.items()})
+               for p, row in rows if p >= d]
+    if radical:
+        return None, radical
+    return Tensor2(algebra, {(p, c - d): x for p, row in rows
+                             for c, x in row.items() if c >= d}), []
+
+
 def direct_sum_diagonal(components, ambient=None):
     """Sum of block embeddings of per-block tensors over the l1 direct sum.
 

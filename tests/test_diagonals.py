@@ -9,12 +9,12 @@ from amlab import (AlgebraError, DiagonalNet, LinearMap, Tensor2,
                    abelian_product_table, basis_test_set, block_projection,
                    contract, cyclic_group_table, defect_report, defects,
                    direct_sum_algebra, direct_sum_diagonal, elementary, flip,
-                   group_algebra, group_diagonal, ideal_diagonal, left_action,
+                   group_algebra, group_diagonal, ideal_diagonal, left_action, linalg,
                    matrix_algebra, matrix_diagonal, matrix_unit_index,
                    max_defect, multiply, opposite_left_action,
                    opposite_right_action, proj_norm, pushforward_diagonal,
                    right_action, support_block, symmetric_group_table,
-                   tail_mass, truncated_matrix_diagonal,
+                   tail_mass, trace_form_diagonal, truncated_matrix_diagonal,
                    unitized_diagonal, upper_triangular_algebra)
 
 from oracles import element_from_dense
@@ -415,3 +415,85 @@ def test_abelian_product_diagonal_exact():
     t = group_diagonal(table, labels)
     for a in t.space.basis_elements():
         assert max_defect(t, a) == 0
+
+
+# -- the trace-form diagonal ------------------------------------------------------------
+
+def quaternions():
+    """The quaternions (-1, -1) over Q: a division algebra, so no catalog shape."""
+    signs = {(1, 2): (1, 3), (2, 3): (1, 1), (3, 1): (1, 2)}   # ij = k, jk = i, ki = j
+    mul = {(0, q): {q: 1} for q in range(4)}
+    mul.update({(q, 0): {q: 1} for q in range(1, 4)})
+    mul.update({(q, q): {0: -1} for q in range(1, 4)})
+    for (p, q), (s, r) in signs.items():
+        mul[(p, q)] = {r: s}
+        mul[(q, p)] = {r: -s}
+    from amlab import AlgebraPresentation
+    return AlgebraPresentation(["1", "i", "j", "k"], mul, unit={0: 1}, name="H")
+
+
+def trace_form(A):
+    """G_ij = tr(L_{b_i b_j}), with L the left regular representation, dense."""
+    def trace_of_left(a):
+        return sum(multiply(a, A.basis_element(m)).get(m) for m in range(A.dim))
+    return [[trace_of_left(multiply(A.basis_element(i), A.basis_element(j)))
+             for j in range(A.dim)] for i in range(A.dim)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_trace_form_diagonal_of_a_matrix_algebra_is_the_matrix_diagonal(n):
+    A = matrix_algebra(n)
+    t, radical = trace_form_diagonal(A)
+    assert radical == []
+    assert t.coeffs == matrix_diagonal(n, algebra=A).coeffs
+    assert all(type(c) is Fraction for c in t.coeffs.values())
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_the_trace_form_diagonal_of_a_group_algebra_is_the_group_diagonal(n):
+    A = group_algebra(*symmetric_group_table(n))
+    t, radical = trace_form_diagonal(A)
+    assert radical == []
+    assert t.coeffs == group_diagonal(None, algebra=A).coeffs
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_triangular_matrices_have_the_strictly_upper_radical(n):
+    A = upper_triangular_algebra(n)
+    t, radical = trace_form_diagonal(A)
+    assert t is None
+    assert len(radical) == n * (n - 1) // 2
+    G = trace_form(A)
+    for r in radical:
+        assert all(sum(c * G[i][j] for i, c in r.coeffs.items()) == 0 for j in range(A.dim))
+    # independent, as many as the strictly upper matrix units E_ij (i < j), and in their span
+    upper = {A.labels.index(f"E{i}{j}") for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    assert linalg.rank([r.coeffs for r in radical]) == len(radical)
+    assert all(set(r.coeffs) <= upper for r in radical)
+
+
+def test_the_dual_numbers_have_a_radical():
+    from amlab import AlgebraPresentation
+    A = AlgebraPresentation(["1", "x"], {(0, 0): {0: 1}, (0, 1): {1: 1},
+                                         (1, 0): {1: 1}}, unit=[1, 0])
+    t, radical = trace_form_diagonal(A)
+    assert t is None
+    assert [r.coeffs for r in radical] == [{1: Fraction(1)}]
+
+
+def test_the_quaternions_over_q_have_an_exact_symmetric_diagonal():
+    A = quaternions()
+    t, radical = trace_form_diagonal(A)
+    assert radical == []
+    assert t.symmetry_defect() == 0
+    assert contract(t) == A.unit_element()
+    for a in A.basis_elements():
+        assert defects(t, a) == (0, 0, 0, 0)
+    # e^1 = 1/4 and e^q = -b_q/4: Omega = (1 (x) 1 - i (x) i - j (x) j - k (x) k) / 4
+    assert t.coeffs == {(0, 0): Fraction(1, 4), (1, 1): Fraction(-1, 4),
+                        (2, 2): Fraction(-1, 4), (3, 3): Fraction(-1, 4)}
+
+
+def test_the_trace_form_diagonal_is_computed_in_rational_mode():
+    with pytest.raises(AlgebraError):
+        trace_form_diagonal(matrix_algebra(2, mode="float"))

@@ -1,27 +1,32 @@
 """Generating sets, and the identity systems classify_maps builds on them.
 
-In rational mode classify_maps eliminates the derivation rows for i in a
-generating set only (central_derivation_space also the central rows) and
-the Lie rows for the pairs meeting a Lie-generating set, and reads the
-central traces off as Hom(A/[A, A], Z(X)); float mode keeps every pair.
-The oracle here is the identity on every ordered basis pair, written out in
-Fraction (or float) arithmetic on the presentation's own tables,
-independently of the library's term encoding.
+In rational mode classify_maps reads the central traces off as
+Hom(A/[A, A], Z(X)).  On an algebra whose trace-form diagonal is certified
+exact and symmetric it reads the derivation, Jordan and Lie spaces off the
+decomposition theorems; elsewhere it eliminates the derivation rows for i
+in a generating set only (central_derivation_space also the central rows),
+the Lie rows for the pairs meeting a Lie-generating set and the Jordan rows
+on every pair.  Float mode eliminates every pair's rows.  The oracle here is
+the identity on every ordered basis pair, written out in Fraction (or
+float) arithmetic on the presentation's own tables, independently of the
+library's term encoding, and eliminated: never the theorems.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from amlab import (AlgebraPresentation, BimodulePresentation, central_derivation_space,
-                   classify_maps, cyclic_group_table, derivations, direct_sum_algebra,
-                   direct_sum_bimodule, group_algebra, linalg, matrix_algebra, multiply,
-                   quotient_bimodule, regular_bimodule, symmetric_group_table,
-                   upper_triangular_algebra)
+from amlab import (AlgebraPresentation, BimodulePresentation, abelian_product_table, center,
+                   central_derivation_space, classify_maps, commutator_subspace,
+                   cyclic_group_table, defects, derivations, direct_sum_algebra,
+                   direct_sum_bimodule, elementary, group_algebra, linalg, matrix_algebra,
+                   multiply, quotient_bimodule, regular_bimodule, symmetric_group_table,
+                   trace_form_diagonal, upper_triangular_algebra)
 from amlab.algebra import generating_set
 from amlab.maps import flatten_map
 
 from test_derivations import module_on_new_basis, rescaled_m3
+from test_diagonals import quaternions
 
 
 def full_pair_rows(A, X, kind):
@@ -57,6 +62,13 @@ def full_pair_rows(A, X, kind):
                 image(rows, A.product_indices(i, j), 1)
                 right(rows, i, j, -1)
                 left(rows, i, j, -1)
+            elif kind == "jordan":
+                image(rows, linalg.vec_add_scaled(dict(A.product_indices(i, j)),
+                                                  A.product_indices(j, i), 1), 1)
+                right(rows, i, j, -1)
+                left(rows, i, j, -1)
+                right(rows, j, i, -1)
+                left(rows, j, i, -1)
             elif kind == "lie":
                 image(rows, bracket, 1)
                 right(rows, i, j, -1)
@@ -82,8 +94,9 @@ def full_pair_nullspace(A, X, kinds, rows=None):
                             A.dim * X.dim, A.eps)
 
 
-CLASSIFIED = {"derivation": ("derivation",), "lie": ("lie",),
+CLASSIFIED = {"derivation": ("derivation",), "jordan": ("jordan",), "lie": ("lie",),
               "central_trace": ("central", "trace")}
+ROUTED = ["derivation", "jordan", "lie"]
 
 
 def changed_basis_m3(mode="rational"):
@@ -139,19 +152,46 @@ def rational_algebras():
             direct_sum_algebra([matrix_algebra(2), upper_triangular_algebra(2)]),
             rescaled_m3("rational"), changed_basis_m3(),
             # E12, E23, E13, ...: the product of the first two comes later
-            permuted(upper_triangular_algebra(3), [1, 4, 2, 0, 3, 5], "T3 permuted")]
+            permuted(upper_triangular_algebra(3), [1, 4, 2, 0, 3, 5], "T3 permuted"),
+            AlgebraPresentation([], {}, name="zero-dimensional")]
+
+
+NOT_SEMISIMPLE = {"T3", "T4", "M2+T2", "T3 permuted"}
+
+
+def one_sided_modules(A):
+    """A acting on its own space by left multiplication only, by right
+    multiplication only, not at all, and the sum of these with the regular
+    module, by id."""
+    left = BimodulePresentation(A, A.labels, A.mul, {})
+    right = BimodulePresentation(A, A.labels, {}, A.mul)
+    zero = BimodulePresentation(A, A.labels, {}, {})
+    summed = direct_sum_bimodule([regular_bimodule(A), left, right, zero])
+    return {f"{A.name} left only": left, f"{A.name} right only": right,
+            f"{A.name} zero action": zero, f"{A.name} summed": summed}
 
 
 def module_cases():
+    """Modules over algebras that have an exact symmetric diagonal, so classify
+    reads every kind but central_trace off the theorems, by id."""
     s3 = group_algebra(*symmetric_group_table(3))
     R = regular_bimodule(s3)
     pair = direct_sum_bimodule([R, R])
     quotient, _ = quotient_bimodule(pair, [pair.element({k: 1, s3.dim + k: -1})
                                            for k in range(s3.dim)])
-    m3 = changed_basis_m3()
-    return [pair, quotient, module_on_new_basis(s3, s3),
-            module_on_new_basis(rescaled_m3("rational"), rescaled_m3("rational")),
-            direct_sum_bimodule([regular_bimodule(m3), regular_bimodule(m3)])]
+    m2, m3 = matrix_algebra(2), changed_basis_m3()
+    cases = {"S3 sum": pair, "S3 quotient": quotient,
+             "S3 new basis": module_on_new_basis(s3, s3),
+             "M3 rescaled new basis": module_on_new_basis(rescaled_m3("rational"),
+                                                          rescaled_m3("rational")),
+             "M3 changed sum": direct_sum_bimodule([regular_bimodule(m3),
+                                                    regular_bimodule(m3)])}
+    for A in (s3, m2, direct_sum_algebra([m2, s3])):
+        cases.update(one_sided_modules(A))
+    return cases
+
+
+MODULE_CASES = module_cases()
 
 
 def closure_of(A, gens, lie):
@@ -218,24 +258,73 @@ def test_a_float_algebra_is_generated_by_its_whole_basis():
             assert generating_set(A, lie=lie) == list(range(A.dim))
 
 
-def assert_same_solutions(A, X):
+def assert_same_solutions(A, X, routed, monkeypatch):
+    """classify_maps and central_derivation_space against every pair's
+    elimination; routed says whether the derivation, Jordan and Lie spaces
+    must be read off the theorems."""
+    taken = []
+    by_the_theorems = derivations._by_the_theorems
+    monkeypatch.setattr(derivations, "_by_the_theorems",
+                        lambda A, X, kind: taken.append(kind) or by_the_theorems(A, X, kind))
     rows = {}
     for kind, kinds in CLASSIFIED.items():
         got = [flatten_map(D) for D in classify_maps(A, X, kind)]
         assert got == full_pair_nullspace(A, X, kinds, rows), kind
+    assert taken == (ROUTED if routed else [])
     want = full_pair_nullspace(A, X, ("derivation", "central"), rows)
     assert [flatten_map(D) for D in central_derivation_space(A, X).basis] == want
 
 
 @pytest.mark.parametrize("A", rational_algebras(), ids=lambda A: A.name)
-def test_classify_on_generators_matches_every_pair(A):
-    assert_same_solutions(A, regular_bimodule(A))
+def test_classify_on_generators_matches_every_pair(A, monkeypatch):
+    assert_same_solutions(A, regular_bimodule(A), A.name not in NOT_SEMISIMPLE, monkeypatch)
 
 
-@pytest.mark.parametrize("X", module_cases(), ids=["S3 sum", "S3 quotient", "S3 new basis",
-                                                   "M3 rescaled new basis", "M3 changed sum"])
-def test_classify_on_generators_matches_every_pair_on_other_modules(X):
-    assert_same_solutions(X.algebra, X)
+@pytest.mark.parametrize("X", MODULE_CASES.values(), ids=list(MODULE_CASES))
+def test_classify_on_generators_matches_every_pair_on_other_modules(X, monkeypatch):
+    assert_same_solutions(X.algebra, X, True, monkeypatch)
+
+
+def test_a_tampered_diagonal_fails_the_certificate_and_classify_eliminates(monkeypatch):
+    """A symmetric term that commutes with nothing breaks the certificate, and
+    the elimination then returns the same bases the theorems gave."""
+    A = matrix_algebra(3)
+    X = regular_bimodule(A)
+    want = {kind: [flatten_map(D) for D in classify_maps(A, X, kind)] for kind in ROUTED}
+    t, _ = trace_form_diagonal(A)
+    e11 = A.basis_element(0)
+    tampered = t + elementary(e11, e11)
+    assert tampered.symmetry_defect() == 0
+    assert max(defects(tampered, A.basis_element(1))) > 0
+    monkeypatch.setattr(derivations, "trace_form_diagonal", lambda algebra: (tampered, []))
+    assert not derivations._has_exact_symmetric_diagonal(A)
+    monkeypatch.setattr(derivations, "_by_the_theorems", lambda *a: pytest.fail("routed"))
+    for kind in ROUTED:
+        assert [flatten_map(D) for D in classify_maps(A, X, kind)] == want[kind], kind
+
+
+def semisimple_catalog():
+    m2 = matrix_algebra(2)
+    s3 = group_algebra(*symmetric_group_table(3))
+    return [m2, matrix_algebra(3), s3, group_algebra(*cyclic_group_table(4)),
+            group_algebra(*abelian_product_table([2, 3])), direct_sum_algebra([m2, s3]),
+            quaternions()]
+
+
+@pytest.mark.parametrize("A", semisimple_catalog(),
+                         ids=["M2", "M3", "S3", "C4", "C2xC3", "M2+S3", "quaternions"])
+def test_every_pair_has_the_dimensions_of_the_decomposition_theorems(A):
+    """With an exact symmetric diagonal (Johnson 1996; the paper's last section):
+    derivation = jordan = d - dim Z(A), lie = derivation + central_trace and
+    central_trace = dim(A/[A, A]) * dim Z(A), on the regular bimodule.  The
+    dimensions come from every pair's elimination, not from the theorems."""
+    X, rows = regular_bimodule(A), {}
+    dim = {kind: len(full_pair_nullspace(A, X, kinds, rows))
+           for kind, kinds in CLASSIFIED.items()}
+    z, quotient = len(center(A)), A.dim - len(commutator_subspace(A))
+    assert dim["derivation"] == dim["jordan"] == A.dim - z
+    assert dim["lie"] == dim["derivation"] + dim["central_trace"]
+    assert dim["central_trace"] == quotient * z
 
 
 @pytest.mark.parametrize("A", FLOAT_ALGEBRAS, ids=lambda A: A.name)
@@ -248,9 +337,12 @@ def test_float_classify_has_the_dimensions_of_every_pair(A):
 
 
 def test_classify_eliminates_fewer_rows_except_for_jordan(monkeypatch):
-    """Derivation and Lie rows shrink, central traces first solve the small
-    system of [A, A]'s basis, and the Jordan rows are the identity on every
-    pair, as the gates are."""
+    """The elimination, which classify runs where no diagonal is certified,
+    builds fewer derivation and Lie rows, central traces first solve the
+    small system of [A, A]'s basis, and the Jordan rows are the identity on
+    every pair, as the gates are.  M4 and l1(S4) take the theorems in
+    classify, so the derivation, Jordan and Lie rows are counted on the
+    elimination itself."""
     seen = []
     nullspace = linalg.nullspace
     monkeypatch.setattr(linalg, "nullspace",
@@ -259,11 +351,27 @@ def test_classify_eliminates_fewer_rows_except_for_jordan(monkeypatch):
         X = regular_bimodule(A)
         for kind, kinds in CLASSIFIED.items():
             del seen[:]
-            classify_maps(A, X, kind)
-            assert seen[0] < sum(len(derivations._identity_rows(A, X, k)) for k in kinds), kind
-        del seen[:]
-        classify_maps(A, X, "jordan")
-        assert seen == [len(derivations._identity_rows(A, X, "jordan"))]
+            if kind in ROUTED:
+                derivations._eliminated(A, X, kind)
+            else:
+                classify_maps(A, X, kind)
+            full = sum(len(derivations._identity_rows(A, X, k)) for k in kinds)
+            if kind == "jordan":
+                assert seen == [full]
+            else:
+                assert seen[0] < full, kind
+
+
+@pytest.mark.parametrize("A", [matrix_algebra(4), group_algebra(*symmetric_group_table(4))],
+                         ids=lambda A: A.name)
+def test_classify_eliminates_no_identity_rows_with_a_diagonal(A, monkeypatch):
+    """Every kind is read off the theorems or the center: no identity row is built."""
+    monkeypatch.setattr(derivations, "_identity_rows", lambda *a, **k: pytest.fail("called"))
+    X = regular_bimodule(A)
+    z = len(center(A))
+    dims = {kind: len(classify_maps(A, X, kind)) for kind in CLASSIFIED}
+    assert dims["derivation"] == dims["jordan"] == A.dim - z
+    assert dims["lie"] == dims["derivation"] + dims["central_trace"]
 
 
 @pytest.mark.parametrize("A", FLOAT_ALGEBRAS, ids=lambda A: A.name)
