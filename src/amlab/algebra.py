@@ -11,6 +11,7 @@ presentation failing the certificate is accepted with a warning flag and
 norm inequalities are then not guaranteed.
 """
 
+import math
 from fractions import Fraction
 from functools import cached_property
 
@@ -198,21 +199,40 @@ class AlgebraPresentation(BasisSpace):
                 f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})")
 
     def _check_submultiplicativity(self):
-        for (i, j), row in self.mul.items():
-            bound = self.weights[i] * self.weights[j]
-            total = sum(abs(c) * self.weights[k] for k, c in row.items())
-            if total > bound + self.eps:
+        """sum_k |c_ijk| w_k <= w_i w_j on every pair in the table, on
+        integer_tables: in rational mode with the weights' denominators
+        cleared too (v = W w), as W sum_k |C_ijk| v_k <= D v_i v_j, summed
+        once per shared row; in float mode up to eps."""
+        ints, w = self.integer_tables, self.weights
+        if self.mode == RATIONAL:
+            den = math.lcm(*(x.denominator for x in w))
+            v = [x.numerator * (den // x.denominator) for x in w]
+            total_scale, bound_scale, slack = den, ints.scale, 0
+        else:
+            v, total_scale, bound_scale, slack = w, 1, 1, self.eps
+        totals = {}
+        for (i, j) in self.mul:
+            row = ints.mul[(i, j)]
+            total = totals.get(id(row))
+            if total is None:
+                total = sum(abs(c) * v[k] for k, c in row.items())
+                total = totals[id(row)] = total_scale * total
+            if total > bound_scale * v[i] * v[j] + slack:
                 self.submultiplicative = False
+                total = sum(abs(c) * w[k] for k, c in self.mul[(i, j)].items())
                 self.warnings.append(
                     f"submultiplicativity certificate fails at "
-                    f"({self.labels[i]}, {self.labels[j]}): {total} > {bound}")
+                    f"({self.labels[i]}, {self.labels[j]}): {total} > {w[i] * w[j]}")
         # warn once; norm inequalities are skipped downstream when not certified
 
     def _check_unit(self):
-        u = Element(self, self.unit)
+        """b_i u == b_i == u b_i for every i, on integer_tables (both sides
+        carry the factor D)."""
+        ints = self.integer_tables
         for i in range(self.dim):
-            b = self.basis_element(i)
-            if not (u * b - b).is_zero() or not (b * u - b).is_zero():
+            b = {i: ints.scale}
+            if (not self._agree(_act(ints.right[i], self.unit), b)
+                    or not self._agree(_act(ints.left[i], self.unit), b)):
                 raise PresentationError(f"claimed unit does not fix basis element {self.labels[i]}")
 
     def unit_element(self):

@@ -147,9 +147,13 @@ def build_parser():
 
 
 def _load_algebra(args, path):
+    """The algebra in path; each warning of its certificates goes to stderr."""
     name = os.path.splitext(os.path.basename(path))[0]
-    return serialize.algebra_from_dict(serialize.load_json(path), args.mode,
-                                       args.tol, name=name)
+    algebra = serialize.algebra_from_dict(serialize.load_json(path), args.mode,
+                                          args.tol, name=name)
+    for warning in algebra.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return algebra
 
 
 def _load_bimodule(args, algebra, path):

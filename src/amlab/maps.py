@@ -37,12 +37,6 @@ class LinearMap:
     def image_of_basis(self, j):
         return Element(self.codomain, dict(self.images[j]))
 
-    def matrix_rows(self):
-        """Dense row-major matrix; row j lists the image of domain basis j."""
-        zero = self.codomain.scalar(0)
-        return [[img.get(k, zero) for k in range(self.codomain.dim)]
-                for img in self.images]
-
     def op_norm(self):
         """Weighted-l1 operator norm: max over basis of ||image|| / weight."""
         best = self.codomain.scalar(0)

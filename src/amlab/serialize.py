@@ -40,8 +40,11 @@ def _as_list(obj, key):
 
 def _table(entries, what, layout, scalar):
     """{(i, j): {k: coeff}} from [i, j, k, coeff] entries, repeats summed;
-    what names the entries in errors and layout spells out their shape."""
+    what names the entries in errors and layout spells out their shape.
+    Each distinct string literal is coerced once; other values (a true
+    must still fail, and -0.0 and 0.0 or 1 and 1.0 never share) each time."""
     table = {}
+    literals = {}
     for entry in entries:
         _require(isinstance(entry, list) and len(entry) == 4,
                  f"{what} entries must be {layout}")
@@ -49,8 +52,19 @@ def _table(entries, what, layout, scalar):
         for n in (i, j, k):
             _require(type(n) is int, f"basis index {n!r} in a {what} entry must be an "
                                      f"integer (true and false are not indices)")
-        row = table.setdefault((i, j), {})
-        row[k] = row.get(k, 0) + scalar(c)
+        if type(c) is str:
+            x = literals.get(c)
+            if x is None:
+                x = literals[c] = scalar(c)
+        else:
+            x = scalar(c)
+        row = table.get((i, j))
+        if row is None:
+            table[(i, j)] = {k: x}
+        elif k in row:
+            row[k] += x
+        else:
+            row[k] = x
     return table
 
 
@@ -95,8 +109,7 @@ def algebra_from_dict(data, mode, tol=scalars.DEFAULT_FLOAT_TOL, name=None):
     if unit is not None:
         _require(isinstance(unit, list) and len(unit) == len(basis),
                  "unit must be a dense coefficient list over the basis")
-        unit = {i: scalars.coerce(c, mode) for i, c in enumerate(unit)
-                if scalars.coerce(c, mode) != 0}
+        unit = {i: x for i, x in enumerate(scalars.coerce(c, mode) for c in unit) if x != 0}
     meta = data.get("meta") or {}
     _require(isinstance(meta, dict), "meta must be an object")
     meta = {k: meta[k] for k in _PORTABLE_META if k in meta}
@@ -238,9 +251,17 @@ def bimodule_from_dict(data, algebra):
 
 
 def linear_map_to_dict(m):
+    """The map as a dense matrix; row j lists the image of domain basis j."""
+    zero, dim = scalars.to_json(m.codomain.scalar(0)), m.codomain.dim
+    matrix = []
+    for image in m.images:
+        row = [zero] * dim
+        for k, c in image.items():
+            row[k] = scalars.to_json(c)
+        matrix.append(row)
     return {"domain": _ref(m.domain),
             "codomain": _ref(m.codomain),
-            "matrix": [[scalars.to_json(c) for c in row] for row in m.matrix_rows()]}
+            "matrix": matrix}
 
 
 def linear_map_from_dict(data, domain, codomain):
@@ -401,8 +422,62 @@ def load_json(path):
         raise SchemaError(f"malformed JSON in {path}: {exc}") from None
 
 
+_STR = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _float(x):
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key(key):
+    if isinstance(key, str):
+        return _STR(key)
+    if key is None or isinstance(key, (int, float)):
+        return _STR(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _encode(obj, newline):
+    """json.dumps(obj, indent=2) at the depth whose line break and indent is
+    newline; a list of only strings or only floats is joined in one pass."""
+    if isinstance(obj, str):
+        return _STR(obj)
+    if isinstance(obj, float):
+        return _float(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        types = set(map(type, obj))
+        if types == {str}:
+            body = ("," + inner).join(map(_STR, obj))
+        elif types == {float}:
+            body = ("," + inner).join(map(float.__repr__, obj))
+            if "n" in body:   # nan or inf
+                body = ("," + inner).join(map(_float, obj))
+        else:
+            body = ("," + inner).join([_encode(x, inner) for x in obj])
+        return f"[{inner}{body}{newline}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        body = ("," + inner).join([f"{_key(k)}: {_encode(v, inner)}" for k, v in obj.items()])
+        return f"{{{inner}{body}{newline}}}"
+    return json.dumps(obj)
+
+
 def dump_json(obj, path=None):
-    text = json.dumps(obj, indent=2, sort_keys=False)
+    """json.dumps(obj, indent=2), byte for byte; written with a final newline."""
+    text = _encode(obj, "\n")
     if path is None:
         return text
     with open(path, "w", encoding="utf-8") as f:

@@ -47,6 +47,12 @@ def same_bytes(directory, a, b):
     return (directory / a).read_bytes() == (directory / b).read_bytes()
 
 
+def json_dumps_bytes(directory, name):
+    """The report is json.dumps(indent=2) of its own value and a newline."""
+    text = (directory / name).read_text(encoding="utf-8")
+    return text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
 def write_inputs(d):
     """The inputs that need no library: a zero map on M3, the S3 table, the
     elements u = I and E11, and a seed functional."""
@@ -77,7 +83,9 @@ def net_file(d, tensor, net):
 def run_jobs(d, mode, suffix):
     """Every subcommand on M3 and l1(S3) in one scalar mode; each classify kind
     on the regular module and on the same module as a file, which must agree
-    byte for byte, so the rows also run on a module's own tables."""
+    byte for byte, so the rows also run on a module's own tables.  The last
+    classify report is what json.dumps(indent=2) writes: the writer needs
+    nothing beyond the bare stdlib."""
     m3, t3, s3, ts3 = (f"{name}{suffix}.json" for name in ("m3", "t3", "s3", "ts3"))
     cli(d, "build-diagonal", "matrix", "3", "--algebra-out", m3, "--out", t3, mode=mode)
     cli(d, "decompose-jordan", m3, "regular", "zero.json", t3, "--out", "dj.json", mode=mode)
@@ -95,6 +103,7 @@ def run_jobs(d, mode, suffix):
             cli(d, "classify", kind, algebra, f"x-{algebra}", "--out", f"{kind}-x.json",
                 mode=mode)
             assert same_bytes(d, f"{kind}.json", f"{kind}-x.json"), (algebra, kind)
+    assert json_dumps_bytes(d, "lie.json")
     net_file(d, t3, "net3.json")
     cli(d, "check-diagonal", m3, "net3.json", "--require-symmetric", "--out", "check.json",
         mode=mode)

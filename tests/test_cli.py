@@ -523,6 +523,29 @@ def test_center_cli(m2_file, capsys):
     assert len(payload["elements"]) == 1
 
 
+@pytest.mark.parametrize("mode, failure", [("rational", "3 > 1"), ("float", "3.0 > 1.0")])
+def test_an_uncertified_algebra_loads_with_its_warnings_on_stderr(tmp_path, mode, failure,
+                                                                   capsys):
+    """a a = 3 a and b b = b/2 with weights 1 and 1/2: a a fails the certificate,
+    b b passes it, so one warning goes to stderr and the report is unchanged."""
+    path = write(tmp_path / "A.json", {"basis": ["a", "b"], "weights": ["1", "1/2"],
+                                       "mul": [[0, 0, 0, "3"], [1, 1, 1, "1/2"]]})
+    A = serialize.algebra_from_dict(json.loads((tmp_path / "A.json").read_text()), mode,
+                                    name="A")
+    assert main(["center", path, "--mode", mode]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"warning: submultiplicativity certificate fails at (a, a): " \
+                           f"{failure}\n"
+    assert A.warnings == [captured.err[len("warning: "):-1]]
+    center = [A.element({0: 1}), A.element({1: 1})]
+    assert captured.out == serialize.dump_json(serialize.element_list_to_dict(
+        center, labels=["z0", "z1"], space=A)) + "\n"
+    out = tmp_path / "center.json"
+    assert main(["center", path, "--mode", mode, "--out", str(out)]) == 0
+    assert out.read_text() == captured.out
+    assert capsys.readouterr().out == ""
+
+
 def test_quotient_cli(tmp_path, m2_file, capsys):
     from amlab import direct_sum_bimodule, regular_bimodule
     A = matrix_algebra(2)

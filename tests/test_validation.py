@@ -17,7 +17,7 @@ import pytest
 from amlab import (AlgebraPresentation, BimodulePresentation, direct_sum_bimodule,
                    group_algebra, matrix_algebra, quotient_bimodule, regular_bimodule,
                    serialize, upper_triangular_algebra)
-from amlab.algebra import PresentationError
+from amlab.algebra import Element, PresentationError, unitize
 from amlab.catalog import cyclic_group_table, symmetric_group_table
 from amlab.cli import main
 from amlab.scalars import DEFAULT_FLOAT_TOL, FLOAT, RATIONAL, SchemaError, clear_denominators
@@ -207,6 +207,93 @@ def test_a_boolean_is_not_a_basis_index(index):
 def test_bad_tolerance_is_a_schema_error(tol):
     with pytest.raises(SchemaError, match="tolerance"):
         AlgebraPresentation(["a"], {(0, 0): {0: 1}}, mode=FLOAT, tol=tol)
+
+
+# -- certificates ----------------------------------------------------------------
+
+def ref_submultiplicativity(A):
+    """(flag, warnings) of the Fraction loop: sum_k |c_ijk| w_k against
+    w_i w_j + eps on every pair in the table."""
+    flag, warnings = True, []
+    for (i, j), row in A.mul.items():
+        bound = A.weights[i] * A.weights[j]
+        total = sum(abs(c) * A.weights[k] for k, c in row.items())
+        if total > bound + A.eps:
+            flag = False
+            warnings.append(f"submultiplicativity certificate fails at "
+                            f"({A.labels[i]}, {A.labels[j]}): {total} > {bound}")
+    return flag, warnings
+
+
+def ref_unit_error(A):
+    """The message of the Element loop u b - b, b u - b, or None when u is a unit."""
+    u = Element(A, A.unit)
+    for i in range(A.dim):
+        b = A.basis_element(i)
+        if not (u * b - b).is_zero() or not (b * u - b).is_zero():
+            return f"claimed unit does not fix basis element {A.labels[i]}"
+    return None
+
+
+CERTIFICATE_MODES = [(RATIONAL, DEFAULT_FLOAT_TOL), (FLOAT, DEFAULT_FLOAT_TOL), (FLOAT, 0)]
+ODD_WEIGHTS = [Fraction(2, 3), Fraction(5, 2), 1, Fraction(3, 4), 2, Fraction(5, 2)]
+
+
+def certificate_cases():
+    """(labels, mul, weights, unit): catalog tables, as given and with one
+    coefficient or unit entry moved by 1e-12 or 1/2, under unit and non-unit
+    rational weights; rescaled M3, whose unit has non-integer entries; and
+    one-sided units on either side."""
+    s = [Fraction(1, 3), Fraction(7, 2), 1, 5, Fraction(5, 6), 3, 1, Fraction(2, 7), 2]
+    M3 = matrix_algebra(3)
+    yield M3.labels, rescaled_mul(M3, s), None, {i: 1 / s[i] for i in (0, 4, 8)}
+    # a a = a and a b = b: a is a left unit, and in the opposite table a right one
+    one_sided = {(0, 0): {0: 1}, (0, 1): {1: 1}}
+    yield ("a", "b"), one_sided, None, {0: 1}
+    yield ("a", "b"), {(j, i): row for (i, j), row in one_sided.items()}, None, {0: 1}
+    for A in (M3, upper_triangular_algebra(3), group_algebra(*symmetric_group_table(3))):
+        odd = [ODD_WEIGHTS[i % len(ODD_WEIGHTS)] for i in range(A.dim)]
+        for weights in (None, odd):
+            for delta in (0, Fraction(1, 10 ** 12), Fraction(1, 2)):
+                yield A.labels, shifted(A.mul, delta), weights, A.unit
+                if delta:
+                    yield A.labels, A.mul, weights, {**A.unit, 0: 1 + delta}
+
+
+def assert_certificates_match_the_reference(A):
+    A._check_submultiplicativity()
+    assert (A.submultiplicative, A.warnings) == ref_submultiplicativity(A)
+    expected = ref_unit_error(A)
+    if expected is None:
+        A._check_unit()
+    else:
+        with pytest.raises(PresentationError) as exc:
+            A._check_unit()
+        assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize("mode, tol", CERTIFICATE_MODES)
+def test_certificates_match_the_fraction_reference(mode, tol):
+    verdicts = set()
+    for labels, mul, weights, unit in certificate_cases():
+        A = AlgebraPresentation(labels, mul, weights, unit, mode=mode, tol=tol, validate=False)
+        assert_certificates_match_the_reference(A)
+        verdicts.add((A.submultiplicative, ref_unit_error(A) is None))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("mode, tol", CERTIFICATE_MODES)
+def test_unitization_certificates_match_the_fraction_reference(mode, tol):
+    for A in (upper_triangular_algebra(3, mode=mode, tol=tol),
+              AlgebraPresentation(matrix_algebra(2).labels, matrix_algebra(2).mul,
+                                  ODD_WEIGHTS[:4], mode=mode, tol=tol)):
+        U = unitize(A)
+        assert (U.submultiplicative, U.warnings) == ref_submultiplicativity(U)
+        assert ref_unit_error(U) is None
+        for delta in (Fraction(1, 10 ** 12), Fraction(1, 2)):
+            moved = AlgebraPresentation(U.labels, U.mul, U.weights, {A.dim: 1 + delta},
+                                        mode=mode, tol=tol, validate=False)
+            assert_certificates_match_the_reference(moved)
 
 
 # -- module laws ---------------------------------------------------------------
