@@ -31,9 +31,9 @@ class PresentationError(AlgebraError):
 class BasisSpace:
     """A labeled, weighted basis with a scalar mode; base for algebras and bimodules.
 
-    eps is the one exact-vs-float rule: scalar(0) in rational mode and tol in
-    float mode.  A vector is zero when its weighted norm is <= eps, which in
-    rational mode (weights are positive) means literally zero.
+    eps is the exact-vs-float rule for zero tests: scalar(0) in rational mode
+    and tol in float mode.  A vector is zero when its weighted norm is <= eps,
+    which in rational mode (weights are positive) means literally zero.
     """
 
     def __init__(self, labels, weights=None, mode=RATIONAL, tol=DEFAULT_FLOAT_TOL, name=None):
@@ -507,30 +507,22 @@ def commutator_subspace(algebra):
             for v in sp.rows]
 
 
-def generating_set(algebra, lie=False):
-    """Basis indices S that generate the algebra (Lie-generate it for lie=True).
+def generating_set(algebra):
+    """Basis indices S that generate the algebra.
 
     S is picked greedily in basis order: b_i joins S when it is not in the
     closure of the elements picked before it.  The closure is span(S) closed
     under v -> v b_s for s in S, which is the subalgebra S generates (every
-    product of elements of S is a word s_1 ... s_k); with lie=True the step
-    is v -> v b_s - b_s v, and the closure is the Lie subalgebra S generates,
-    spanned by the left-normed brackets of S.  It is built exactly on
+    product of elements of S is a word s_1 ... s_k).  It is built exactly on
     integer_tables, so every b_i is either in S or proven to lie in the
-    closure.  In float mode S is the whole basis: a float table is
-    associative only up to rounding, and a rounded product that lies in the
-    closure leaves a residue, so no closure read off it is a proof.
+    closure.  In float mode S is the whole basis, whatever the tolerance: a
+    float table is associative only up to rounding, and a rounded product
+    that lies in the closure leaves a residue, so no closure read off it is
+    a proof.
     """
-    if algebra.eps:
+    if algebra.mode != RATIONAL:
         return list(range(algebra.dim))
-    ints = algebra.integer_tables
-
-    def step(v, s):
-        w = _act(ints.right[s], v)
-        if lie:
-            linalg.vec_add_scaled(w, _act(ints.left[s], v), -1)
-        return w
-
+    right = algebra.integer_tables.right
     closure = linalg.Span()
     found = []          # vectors spanning the closure, each reached from S
     gens = []
@@ -543,7 +535,7 @@ def generating_set(algebra, lie=False):
         pending = [(u, i) for u in found] + [(v, s) for s in gens[:-1]]
         while pending:
             v, s = pending.pop()
-            w = step(v, s)
+            w = _act(right[s], v)
             if closure.add(w) is not None:
                 found.append(w)
                 pending.extend((w, t) for t in gens)

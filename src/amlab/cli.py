@@ -4,11 +4,13 @@ Exit codes: 0 when the requested check passes (or the artifact was built),
 1 when inputs parsed but the verdict is negative, 2 for malformed inputs or
 parameters, 3 when a presentation or map fails invariant validation.
 
-The scalar mode defaults to the AMLAB_MODE environment variable, then to
-exact rationals.
+The scalar mode defaults to the AMLAB_MODE environment variable, read on
+each call of main, then to exact rationals.  The argument parser is built
+once per process.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -22,7 +24,7 @@ from .diagonals import (defect_report, defects, direct_sum_diagonal,
                         group_diagonal, ideal_diagonal, matrix_diagonal,
                         pushforward_diagonal, tail_mass,
                         truncated_matrix_diagonal)
-from .scalars import DEFAULT_FLOAT_TOL, FLOAT, RATIONAL, SchemaError, check_tol
+from .scalars import DEFAULT_FLOAT_TOL, FLOAT, RATIONAL, SchemaError, check_mode, check_tol
 from .witness import trace_feasibility, witness_from_diagonal
 
 MODE_ENV = "AMLAB_MODE"
@@ -30,8 +32,7 @@ MODE_ENV = "AMLAB_MODE"
 
 def _add_global_options(parser, suppress=False):
     d = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--mode", choices=[RATIONAL, FLOAT],
-                        default=d if suppress else os.environ.get(MODE_ENV, RATIONAL),
+    parser.add_argument("--mode", choices=[RATIONAL, FLOAT], default=d,
                         help="scalar arithmetic (default: env AMLAB_MODE or rational)")
     parser.add_argument("--tol", type=float,
                         default=d if suppress else DEFAULT_FLOAT_TOL,
@@ -327,10 +328,17 @@ def cmd_quotient(args):
     return 0
 
 
+@functools.cache
+def _parser():
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    if args.mode is None:
+        args.mode = os.environ.get(MODE_ENV, RATIONAL)
     try:
+        check_mode(args.mode)
         check_tol(args.tol)
         return args.func(args)
     except SchemaError as exc:

@@ -8,18 +8,15 @@ Lie derivation when the corresponding product rule holds.  Each identity
 is written once, as per-basis-pair terms (_identity_terms).  The five
 defect gates (derivation_defect ... trace_defect) evaluate the terms of
 every pair on a map, since they report a norm.  classify_maps returns the
-solution space of those terms' linear equations.  In rational mode, on an
-algebra whose trace-form diagonal (diagonals.trace_form_diagonal) is
+solution space of those terms' linear equations, by one of three routes,
+chosen from the input.  In rational mode central_trace is read off as
+Hom(A/[A, A], Z(X)) from commutator_subspace and the module's center, and
+on an algebra whose trace-form diagonal (diagonals.trace_form_diagonal) is
 certified an exact symmetric diagonal, the derivation, Jordan and Lie
 spaces are read off the decomposition theorems: inner derivations, plus
-central traces for Lie.  Otherwise the equations are solved exactly by
-elimination, in rational mode only on the pairs a generating set needs
-(algebra.generating_set): the derivation rows for b_i in S and the Lie
-rows for the pairs meeting a Lie-generating set.  These rows have the row
-space of all pairs (_identity_terms says why), so a gate is zero exactly
-when the map solves classify_maps' equations; the Jordan rows, and every
-row in float mode, keep every pair.  Rational central_trace is read off as
-Hom(A/[A, A], Z(X)) from commutator_subspace and the module's center.
+central traces for Lie.  Everywhere else, float mode included, the
+equations of every basis pair are eliminated (_eliminated), so a gate is
+zero exactly when the map solves them.
 
 In rational mode these run in ints: a bimodule's algebra.IntegerTables hold
 its algebra's and both action tables with one common denominator cleared,
@@ -277,7 +274,7 @@ def image_action(T, t):
 # identity defects and classification
 # ---------------------------------------------------------------------------
 
-def _identity_terms(mul, d, kind, gens=None):
+def _identity_terms(mul, d, kind):
     """The identity's terms on a map D, one list per basis pair (i, j).
 
     mul is the d-dimensional domain's product table {(i, j): row}.  A term
@@ -288,19 +285,9 @@ def _identity_terms(mul, d, kind, gens=None):
     constants carry the same scale, the terms are the identity times that
     scale.  Jordan, Lie and trace pairs run over i <= j or i < j: swapping i
     and j gives the same terms up to sign.
-
-    gens, for the derivation, central and Lie identities only, keeps the
-    pairs with i in gens (derivation, central) or meeting gens (Lie).  With
-    gens a generating set (algebra.generating_set; Lie-generating for Lie)
-    these pairs imply all the others: given associativity and the module
-    laws, the elements a at which the identity holds for every b form a
-    subspace closed under the product (under the bracket for Lie, by the
-    Jacobi identity) that contains gens, so they are all of A.
     """
-    gens = range(d) if gens is None else gens
-    keep = set(gens)
     if kind == "derivation":
-        for i in gens:
+        for i in range(d):
             for j in range(d):
                 terms = [(c, q, None) for q, c in mul.get((i, j), _EMPTY).items()]
                 yield terms + [(-1, i, ("R", j)), (-1, j, ("L", i))]
@@ -315,14 +302,12 @@ def _identity_terms(mul, d, kind, gens=None):
     elif kind == "lie":
         for i in range(d):
             for j in range(i + 1, d):
-                if i not in keep and j not in keep:
-                    continue
                 acc = linalg.vec_sub(mul.get((i, j), _EMPTY), mul.get((j, i), _EMPTY))
                 terms = [(c, q, None) for q, c in acc.items()]
                 yield terms + [(-1, i, ("R", j)), (-1, j, ("L", i)),
                                (1, j, ("R", i)), (1, i, ("L", j))]
     elif kind == "central":
-        for i in gens:
+        for i in range(d):
             for j in range(d):
                 yield [(1, j, ("L", i)), (-1, j, ("R", i))]
     elif kind == "trace":
@@ -408,9 +393,9 @@ def inner_derivation(X, x):
     return LinearMap(X.algebra, X, images)
 
 
-def _identity_rows(algebra, X, kind, gens=None):
-    """Linear equations on the flattened map matrix imposed by the identity,
-    on the pairs _identity_terms keeps for gens.
+def _identity_rows(algebra, X, kind):
+    """Linear equations on the flattened map matrix imposed by the identity
+    on every basis pair.
 
     The rows are built on X.integer_tables, so in rational mode they are in
     ints: the equations times the tables' scale.  Action terms walk only the
@@ -420,7 +405,7 @@ def _identity_rows(algebra, X, kind, gens=None):
     m = X.dim
     ints = X.integer_tables
     rows = []
-    for terms in _identity_terms(ints.mul, algebra.dim, kind, gens):
+    for terms in _identity_terms(ints.mul, algebra.dim, kind):
         per_coord = {}
         for alpha, q, op in terms:
             base = q * m
@@ -501,16 +486,10 @@ def _by_the_theorems(algebra, X, kind):
     return sorted(({N - 1 - c: x for c, x in row.items()} for row in rows), key=max)
 
 
-def _eliminated(algebra, X, kind):
-    """nullspace of the identity rows of kind: the derivation and Lie rows on
-    a generating set (the whole basis in float mode), the Jordan rows on
-    every pair, and for central_trace the central and trace rows."""
-    if kind == "central_trace":
-        rows = _identity_rows(algebra, X, "central") + _identity_rows(algebra, X, "trace")
-    elif kind == "jordan":
-        rows = _identity_rows(algebra, X, kind)
-    else:
-        rows = _identity_rows(algebra, X, kind, generating_set(algebra, lie=kind == "lie"))
+def _eliminated(algebra, X, kinds):
+    """nullspace of the identity rows of each of kinds on every basis pair,
+    concatenated."""
+    rows = [row for kind in kinds for row in _identity_rows(algebra, X, kind)]
     return linalg.nullspace(rows, algebra.dim * X.dim, algebra.eps)
 
 
@@ -526,38 +505,33 @@ def classify_maps(algebra, X, kind):
     is built and certified exact and symmetric first; when it passes, the
     space is spanned by the inner derivations, plus the central traces for
     lie (_by_the_theorems).  When it does not, as on a non-semisimple
-    algebra, the equations are eliminated: the derivation rows for i in a
-    generating set only and the Lie rows for the pairs meeting a
-    Lie-generating set (algebra.generating_set), which have the row space of
-    the identity on all pairs, and the Jordan rows, for which no such closure
-    argument is known, on every pair.  Float mode, where no generating set is
-    proven, eliminates every pair's rows for each kind.
+    algebra, and for every kind in float mode, the identity's rows on every
+    basis pair are eliminated (the central and trace rows for
+    central_trace).
     """
     if X.algebra is not algebra:
         raise AlgebraError("module is not over the given algebra")
     if kind not in MAP_KINDS:
         raise ValueError(f"unknown map kind {kind!r}; expected one of {MAP_KINDS}")
-    if not algebra.eps and kind == "central_trace":
+    exact = algebra.mode == scalars.RATIONAL
+    if exact and kind == "central_trace":
         basis = _central_traces(algebra, X)
-    elif not algebra.eps and _has_exact_symmetric_diagonal(algebra):
+    elif exact and _has_exact_symmetric_diagonal(algebra):
         basis = _by_the_theorems(algebra, X, kind)
     else:
-        basis = _eliminated(algebra, X, kind)
+        basis = _eliminated(algebra, X, ("central", "trace") if kind == "central_trace"
+                            else (kind,))
     return [map_from_flat(algebra, X, v) for v in basis]
 
 
 def central_derivation_space(algebra, X, diagonal=None):
-    """Basis of central-valued derivations; empty when an exact symmetric
-    diagonal is supplied (any nonzero solution would falsify the library).
-    The derivation and central rows are built on a generating set, as in
-    classify_maps (on every pair in float mode)."""
+    """Basis of central-valued derivations, from the derivation and central
+    rows of every basis pair; empty when an exact symmetric diagonal is
+    supplied (any nonzero solution would falsify the library)."""
     if X.algebra is not algebra:
         raise AlgebraError("module is not over the given algebra")
-    gens = generating_set(algebra)
-    rows = (_identity_rows(algebra, X, "derivation", gens)
-            + _identity_rows(algebra, X, "central", gens))
     basis = [map_from_flat(algebra, X, v)
-             for v in linalg.nullspace(rows, algebra.dim * X.dim, algebra.eps)]
+             for v in _eliminated(algebra, X, ("derivation", "central"))]
     checked = False
     if diagonal is not None:
         _, quality = _prepare_diagonal(X, diagonal)

@@ -246,7 +246,7 @@ def trace_form_diagonal(algebra):
     tensor, since in characteristic 0 it is the Jacobson radical (Dickson)
     and an algebra with a diagonal is semisimple.
     """
-    if algebra.eps:
+    if algebra.mode != RATIONAL:
         raise AlgebraError("the trace-form diagonal is computed in rational mode")
     d, mul = algebra.dim, algebra.mul
     trace = [sum(mul.get((k, m), {}).get(m, 0) for m in range(d)) for k in range(d)]

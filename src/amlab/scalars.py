@@ -6,9 +6,12 @@ tolerance.  Rationals serialize as "p/q" strings so that JSON round-trips
 are lossless.
 
 This module and `BasisSpace.eps` own the mode decision.  Here coerce,
-clear_denominators and unscale take the mode; everywhere else a space's
-eps (scalar(0) in rational mode, tol in float mode) is the only test, as
-"weighted norm <= eps" for zero and as the elimination threshold.
+clear_denominators and unscale take the mode; elsewhere a space's eps
+(scalar(0) in rational mode, tol in float mode) is the test, as "weighted
+norm <= eps" for zero and as the elimination threshold.  Only what must be
+a proof tests the mode itself (integer-only certificates, generating-set
+closures, the trace-form diagonal and the routes of classify_maps built on
+them), since float mode at tolerance 0 has eps == 0.0 but rounded tables.
 """
 
 import math

@@ -110,7 +110,8 @@ def algebra_from_dict(data, mode, tol=scalars.DEFAULT_FLOAT_TOL, name=None):
         _require(isinstance(unit, list) and len(unit) == len(basis),
                  "unit must be a dense coefficient list over the basis")
         unit = {i: x for i, x in enumerate(scalars.coerce(c, mode) for c in unit) if x != 0}
-    meta = data.get("meta") or {}
+    meta = data.get("meta")
+    meta = {} if meta is None else meta
     _require(isinstance(meta, dict), "meta must be an object")
     meta = {k: meta[k] for k in _PORTABLE_META if k in meta}
     return AlgebraPresentation(basis, mul, weights, unit, mode=mode, tol=tol,

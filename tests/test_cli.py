@@ -579,3 +579,43 @@ def test_mode_env_default(tmp_path, m2_file, good_net_file, monkeypatch, capsys)
 def test_float_mode_flag(tmp_path, m2_file, good_net_file, capsys):
     code = main(["--mode", "float", "check-diagonal", m2_file, good_net_file])
     assert code == 0
+
+
+def test_the_parser_is_built_once_and_the_mode_env_is_read_per_call(
+        m2_file, good_net_file, monkeypatch, capsys):
+    """One process, one parser: each main call still reads AMLAB_MODE, and an
+    explicit --mode, before or after the subcommand, beats it."""
+    from amlab import cli
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    try:
+        d1 = {}
+        for env, flags in [("rational", []), ("float", []), ("float", ["--mode", "rational"]),
+                           ("rational", ["--mode", "float"])]:
+            monkeypatch.setenv("AMLAB_MODE", env)
+            for argv in ([*flags, "check-diagonal", m2_file, good_net_file],
+                         ["check-diagonal", m2_file, good_net_file, *flags]):
+                assert main(argv) == 0
+                payload = json.loads(capsys.readouterr().out)
+                d1.setdefault((env, tuple(flags)), set()).add(
+                    repr(payload["entries"][0]["rows"][0]["d1"]))
+        assert d1 == {("rational", ()): {"'0'"}, ("float", ()): {"0.0"},
+                      ("float", ("--mode", "rational")): {"'0'"},
+                      ("rational", ("--mode", "float")): {"0.0"}}
+        monkeypatch.setenv("AMLAB_MODE", "bogus")
+        assert main(["check-diagonal", m2_file, good_net_file]) == 2
+        assert "unknown scalar mode 'bogus'" in capsys.readouterr().err
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
+
+
+@pytest.mark.parametrize("meta", [[], 0, False, "", [1], 1, "x"])
+def test_a_meta_that_is_not_an_object_exits_2(tmp_path, meta, capsys):
+    data = serialize.algebra_to_dict(matrix_algebra(2))
+    path = write(tmp_path / "A.json", {**data, "meta": meta})
+    assert main(["center", path]) == 2
+    assert "meta must be an object" in capsys.readouterr().err
+    assert main(["center", write(tmp_path / "B.json", {**data, "meta": None})]) == 0

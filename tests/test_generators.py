@@ -1,27 +1,26 @@
-"""Generating sets, and the identity systems classify_maps builds on them.
+"""Generating sets, and the routes classify_maps takes to its spaces.
 
 In rational mode classify_maps reads the central traces off as
 Hom(A/[A, A], Z(X)).  On an algebra whose trace-form diagonal is certified
-exact and symmetric it reads the derivation, Jordan and Lie spaces off the
-decomposition theorems; elsewhere it eliminates the derivation rows for i
-in a generating set only (central_derivation_space also the central rows),
-the Lie rows for the pairs meeting a Lie-generating set and the Jordan rows
-on every pair.  Float mode eliminates every pair's rows.  The oracle here is
-the identity on every ordered basis pair, written out in Fraction (or
-float) arithmetic on the presentation's own tables, independently of the
-library's term encoding, and eliminated: never the theorems.
+exact and symmetric, on a generating set, it reads the derivation, Jordan
+and Lie spaces off the decomposition theorems.  Everywhere else, float mode
+at any tolerance included, it eliminates the identity's rows on every basis
+pair, as central_derivation_space always does.  The oracle here is the
+identity on every ordered basis pair, written out in Fraction (or float)
+arithmetic on the presentation's own tables, independently of the library's
+term encoding, and eliminated: never the theorems.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from amlab import (AlgebraPresentation, BimodulePresentation, abelian_product_table, center,
-                   central_derivation_space, classify_maps, commutator_subspace,
-                   cyclic_group_table, defects, derivations, direct_sum_algebra,
-                   direct_sum_bimodule, elementary, group_algebra, linalg, matrix_algebra,
-                   multiply, quotient_bimodule, regular_bimodule, symmetric_group_table,
-                   trace_form_diagonal, upper_triangular_algebra)
+from amlab import (AlgebraError, AlgebraPresentation, BimodulePresentation,
+                   abelian_product_table, center, central_derivation_space, classify_maps,
+                   commutator_subspace, cyclic_group_table, defects, derivations,
+                   direct_sum_algebra, direct_sum_bimodule, elementary, group_algebra, linalg,
+                   matrix_algebra, multiply, quotient_bimodule, regular_bimodule,
+                   symmetric_group_table, trace_form_diagonal, upper_triangular_algebra)
 from amlab.algebra import generating_set
 from amlab.maps import flatten_map
 
@@ -194,9 +193,9 @@ def module_cases():
 MODULE_CASES = module_cases()
 
 
-def closure_of(A, gens, lie):
-    """span(gens) closed under v -> v b_s (v b_s - b_s v when lie) for s in
-    gens, in Element arithmetic, until a pass adds nothing."""
+def closure_of(A, gens):
+    """span(gens) closed under v -> v b_s for s in gens, in Element
+    arithmetic, until a pass adds nothing."""
     sp = linalg.Span()
     for s in gens:
         sp.add({s: Fraction(1)})
@@ -205,27 +204,24 @@ def closure_of(A, gens, lie):
         grew = False
         for v in list(sp.rows):
             for s in gens:
-                a, b = A.element(v), A.basis_element(s)
-                w = multiply(a, b) - multiply(b, a) if lie else multiply(a, b)
+                w = multiply(A.element(v), A.basis_element(s))
                 grew |= sp.add(dict(w.coeffs)) is not None
     return sp
 
 
 @pytest.mark.parametrize("A", rational_algebras(), ids=lambda A: A.name)
-@pytest.mark.parametrize("lie", [False, True])
-def test_the_generating_set_is_greedy_and_its_closure_is_the_algebra(A, lie):
-    gens = generating_set(A, lie=lie)
-    assert closure_of(A, gens, lie).dim == A.dim
+def test_the_generating_set_is_greedy_and_its_closure_is_the_algebra(A):
+    gens = generating_set(A)
+    assert closure_of(A, gens).dim == A.dim
     # b_i is picked exactly when the closure of the elements picked before it misses it
     for i in range(A.dim):
-        before = closure_of(A, [g for g in gens if g < i], lie)
+        before = closure_of(A, [g for g in gens if g < i])
         assert (i in gens) == (not before.contains({i: 1}))
 
 
 def test_generating_sets_are_smaller_than_the_basis():
     for A in (matrix_algebra(3), matrix_algebra(5), group_algebra(*symmetric_group_table(4))):
-        for lie in (False, True):
-            assert len(generating_set(A, lie=lie)) < A.dim
+        assert len(generating_set(A)) < A.dim
     assert generating_set(group_algebra(*symmetric_group_table(4))) == [0, 1, 2, 6]
     assert generating_set(matrix_algebra(5)) == [0, 1, 2, 3, 4, 5, 10, 15, 20]
 
@@ -236,8 +232,15 @@ def test_a_product_of_an_earlier_and_a_later_generator_is_not_picked():
 
 
 def test_a_commutative_algebra_is_lie_generated_only_by_its_whole_basis():
+    """Every bracket of l1(C4) vanishes, so the Lie subalgebra a set of basis
+    elements generates is their span, and only the whole basis reaches A;
+    the associative generating set is b_0, b_1."""
     A = group_algebra(*cyclic_group_table(4))
-    assert generating_set(A, lie=True) == list(range(A.dim))
+    assert commutator_subspace(A) == []
+    for p in range(A.dim):
+        for q in range(A.dim):
+            a, b = A.basis_element(p), A.basis_element(q)
+            assert not (multiply(a, b) - multiply(b, a)).coeffs
     assert generating_set(A) == [0, 1]
 
 
@@ -246,6 +249,9 @@ FLOAT_ALGEBRAS = [matrix_algebra(3, mode="float"), matrix_algebra(4, mode="float
                   group_algebra(*symmetric_group_table(3), mode="float"),
                   group_algebra(*symmetric_group_table(4), mode="float"),
                   changed_basis_m3("float")]
+# float mode with eps == 0: still no rational route
+TOL_ZERO = {"M3 tol 0": matrix_algebra(3, mode="float", tol=0.0),
+            "l1(G6) tol 0": group_algebra(*symmetric_group_table(3), mode="float", tol=0.0)}
 
 
 def test_a_float_algebra_is_generated_by_its_whole_basis():
@@ -253,9 +259,8 @@ def test_a_float_algebra_is_generated_by_its_whole_basis():
     directions: changed-basis M3's would reach dimension 9 from c0, c1 alone,
     although c0, c1, c3 are needed."""
     assert generating_set(changed_basis_m3()) == [0, 1, 3]
-    for A in FLOAT_ALGEBRAS:
-        for lie in (False, True):
-            assert generating_set(A, lie=lie) == list(range(A.dim))
+    for A in FLOAT_ALGEBRAS + list(TOL_ZERO.values()):
+        assert generating_set(A) == list(range(A.dim))
 
 
 def assert_same_solutions(A, X, routed, monkeypatch):
@@ -336,30 +341,37 @@ def test_float_classify_has_the_dimensions_of_every_pair(A):
             == len(full_pair_nullspace(A, X, ("derivation", "central"), rows)))
 
 
-def test_classify_eliminates_fewer_rows_except_for_jordan(monkeypatch):
-    """The elimination, which classify runs where no diagonal is certified,
-    builds fewer derivation and Lie rows, central traces first solve the
-    small system of [A, A]'s basis, and the Jordan rows are the identity on
-    every pair, as the gates are.  M4 and l1(S4) take the theorems in
-    classify, so the derivation, Jordan and Lie rows are counted on the
-    elimination itself."""
+def assert_every_pair_is_eliminated(A, kinds, monkeypatch):
+    """classify_maps on kinds, then central_derivation_space, each hand
+    linalg.nullspace exactly the every-pair rows of their identities,
+    concatenated."""
     seen = []
     nullspace = linalg.nullspace
     monkeypatch.setattr(linalg, "nullspace",
-                        lambda rows, *a: seen.append(len(rows)) or nullspace(rows, *a))
-    for A in (matrix_algebra(4), group_algebra(*symmetric_group_table(4))):
-        X = regular_bimodule(A)
-        for kind, kinds in CLASSIFIED.items():
-            del seen[:]
-            if kind in ROUTED:
-                derivations._eliminated(A, X, kind)
-            else:
-                classify_maps(A, X, kind)
-            full = sum(len(derivations._identity_rows(A, X, k)) for k in kinds)
-            if kind == "jordan":
-                assert seen == [full]
-            else:
-                assert seen[0] < full, kind
+                        lambda rows, *a: seen.append(rows) or nullspace(rows, *a))
+    X = regular_bimodule(A)
+
+    def every_pair(identities):
+        return [row for k in identities for row in derivations._identity_rows(A, X, k)]
+
+    for kind in kinds:
+        del seen[:]
+        classify_maps(A, X, kind)
+        assert seen == [every_pair(CLASSIFIED[kind])], kind
+    del seen[:]
+    central_derivation_space(A, X)
+    assert seen == [every_pair(("derivation", "central"))]
+
+
+@pytest.mark.parametrize("A", [A for A in rational_algebras() if A.name in NOT_SEMISIMPLE]
+                         + [matrix_algebra(3)], ids=lambda A: A.name)
+def test_rational_classify_eliminates_the_rows_of_every_pair(A, monkeypatch):
+    """Where no diagonal is certified, the derivation, Jordan and Lie spaces are
+    eliminated on every pair: T3 permuted has a generating set of 5 of its 6
+    basis elements and M2+T2 one of 6 of 7, and neither saves a row.
+    central_derivation_space eliminates on every algebra, M3 included."""
+    kinds = ROUTED if A.name in NOT_SEMISIMPLE else []
+    assert_every_pair_is_eliminated(A, kinds, monkeypatch)
 
 
 @pytest.mark.parametrize("A", [matrix_algebra(4), group_algebra(*symmetric_group_table(4))],
@@ -374,21 +386,24 @@ def test_classify_eliminates_no_identity_rows_with_a_diagonal(A, monkeypatch):
     assert dims["lie"] == dims["derivation"] + dims["central_trace"]
 
 
-@pytest.mark.parametrize("A", FLOAT_ALGEBRAS, ids=lambda A: A.name)
+@pytest.mark.parametrize("A", FLOAT_ALGEBRAS + list(TOL_ZERO.values()),
+                         ids=[A.name for A in FLOAT_ALGEBRAS] + list(TOL_ZERO))
 def test_float_classify_eliminates_the_rows_of_every_pair(A, monkeypatch):
-    seen = []
-    nullspace = linalg.nullspace
-    monkeypatch.setattr(linalg, "nullspace",
-                        lambda rows, *a: seen.append(rows) or nullspace(rows, *a))
-    X = regular_bimodule(A)
-    for kind, kinds in CLASSIFIED.items():
-        del seen[:]
-        classify_maps(A, X, kind)
-        assert seen == [[row for k in kinds for row in derivations._identity_rows(A, X, k)]]
-    del seen[:]
-    central_derivation_space(A, X)
-    assert seen == [derivations._identity_rows(A, X, "derivation")
-                    + derivations._identity_rows(A, X, "central")]
+    assert_every_pair_is_eliminated(A, CLASSIFIED, monkeypatch)
+
+
+@pytest.mark.parametrize("A", TOL_ZERO.values(), ids=list(TOL_ZERO))
+def test_float_mode_at_tolerance_zero_has_no_diagonal_and_the_rational_dimensions(A):
+    """eps is 0.0 there, but a float table proves nothing, so there is no
+    trace-form diagonal; the every-pair elimination gets the rational
+    dimensions."""
+    with pytest.raises(AlgebraError):
+        trace_form_diagonal(A)
+    exact = (matrix_algebra(3) if A.name == "M3"
+             else group_algebra(*symmetric_group_table(3)))
+    X, R = regular_bimodule(A), regular_bimodule(exact)
+    for kind in CLASSIFIED:
+        assert len(classify_maps(A, X, kind)) == len(classify_maps(exact, R, kind)), kind
 
 
 def modulo(X, indices):
