@@ -31,11 +31,16 @@ unitization A# as index d = dim A, acting on the module as the identity, so
 a map or tensor over A# runs through the same rows as one over A.
 
 The decomposition procedures run against a symmetric diagonal over the
-unitization of the algebra (a diagonal of a unital algebra is lifted
-automatically), whose defects are measured once per tensor.  Both routes
-share stage one: x is the diagonal pushed through the map (image_action)
-and S(a) the sandwich of D(a) through it; a Jordan derivation satisfies
-D(a) = (a x - x a) - S(a) and a Lie derivation D(a) = (a x - x a) + S(a).
+unitization A# of the algebra (a diagonal of a unital algebra is lifted
+automatically), and build no A#: the lift t + (e - u) (x) (e - u)
+(diagonals._lifted) is a coefficient table over the indices 0..dim A, read
+on the algebra's integer_tables, where index dim A is e.  Its defects are
+measured once per tensor, in one pass of diagonals._defect_rows over the
+basis of A#.  Both routes share stage one: x is the lifted diagonal pushed
+through the map (the core of image_action) and S(a) the sandwich of D(a)
+through it (the core of sandwich_action), both on the lift's cleared
+coefficients; a Jordan derivation satisfies D(a) = (a x - x a) - S(a) and a
+Lie derivation D(a) = (a x - x a) + S(a).
 The Jordan route repeats the construction once on the central remainder
 and halves it; the Lie route returns the inner part and the central-trace
 remainder as two maps.
@@ -49,8 +54,10 @@ from . import linalg, scalars
 from .algebra import (AlgebraError, AlgebraPresentation, BasisSpace, Element,
                       IntegerTables, PresentationError, _EMPTY, _act, _block_layout,
                       _shifted, commutator_subspace, generating_set)
-from .diagonals import defects, trace_form_diagonal, unitized_diagonal
+from .diagonals import defects  # noqa: F401  (re-exported)
+from .diagonals import _defect_rows, _lifted, trace_form_diagonal
 from .maps import LinearMap, map_from_flat
+from .tensor import _symmetry_defect
 
 MAP_KINDS = ("derivation", "jordan", "lie", "central_trace")
 
@@ -228,6 +235,40 @@ def direct_sum_bimodule(modules, name=None):
 # evaluations against a tensor
 # ---------------------------------------------------------------------------
 
+def _carrier_cleared(X, t):
+    """t's coefficients with their denominators cleared, (scale, coeffs), once
+    t's carrier is checked to be X's algebra or its unitization."""
+    X.adjoined_identity_index(t.space)
+    scale, (tv,) = scalars.clear_denominators(X.mode, [t.coeffs])
+    return scale, tv
+
+
+def _sandwich(X, vec, scale, tv):
+    """sum c_ij b_i x b_j over the cleared terms tv of a tensor with scale, as a
+    sparse vector, x the sparse module vector vec; indices run to dim A, the
+    adjoined unit."""
+    ints = X.integer_tables
+    x_scale, (xv,) = scalars.clear_denominators(X.mode, [vec])
+    out = {}
+    for (i, j), c in tv.items():
+        linalg.vec_add_scaled(out, _act(ints.right[j], _act(ints.left[i], xv)), c)
+    return X._unscaled(out, ints.scale ** 2 * x_scale * scale)
+
+
+def _image(T, scale, tv):
+    """sum c_ij b_i T(b_j) over the cleared terms tv of a tensor with scale,
+    with T(e) = 0 on the adjoined unit at index dim A."""
+    X = T.codomain
+    ints = X.integer_tables
+    images_scale, images = scalars.clear_denominators(X.mode, T.images + [{}])
+    out = {}
+    for (i, j), c in tv.items():
+        img = images[j]
+        if img:
+            linalg.vec_add_scaled(out, _act(ints.left[i], img), c)
+    return Element(X, X._unscaled(out, ints.scale * images_scale * scale))
+
+
 def sandwich_action(x, t):
     """sum c_ij b_i x b_j over the terms of t; x a module element.
 
@@ -237,14 +278,7 @@ def sandwich_action(x, t):
     X = x.space
     if not isinstance(X, BimodulePresentation):
         raise AlgebraError("sandwich evaluation needs a bimodule element")
-    X.adjoined_identity_index(t.space)
-    ints = X.integer_tables
-    x_scale, (xv,) = scalars.clear_denominators(X.mode, [x.coeffs])
-    t_scale, (tv,) = scalars.clear_denominators(X.mode, [t.coeffs])
-    out = {}
-    for (i, j), c in tv.items():
-        linalg.vec_add_scaled(out, _act(ints.right[j], _act(ints.left[i], xv)), c)
-    return Element(X, X._unscaled(out, ints.scale ** 2 * x_scale * t_scale))
+    return Element(X, _sandwich(X, x.coeffs, *_carrier_cleared(X, t)))
 
 
 def image_action(T, t):
@@ -258,16 +292,7 @@ def image_action(T, t):
         raise AlgebraError("image evaluation needs a map into a bimodule")
     if T.domain is not X.algebra:
         raise AlgebraError("map must be defined on the module's algebra")
-    X.adjoined_identity_index(t.space)
-    ints = X.integer_tables
-    images_scale, images = scalars.clear_denominators(X.mode, T.images + [{}])
-    t_scale, (tv,) = scalars.clear_denominators(X.mode, [t.coeffs])
-    out = {}
-    for (i, j), c in tv.items():
-        img = images[j]
-        if img:
-            linalg.vec_add_scaled(out, _act(ints.left[i], img), c)
-    return Element(X, X._unscaled(out, ints.scale * images_scale * t_scale))
+    return _image(T, *_carrier_cleared(X, t))
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +478,12 @@ def _has_exact_symmetric_diagonal(algebra):
     c (ab) = (c a) b = ab for c = contract(t), and likewise for the flip.
     """
     omega, _ = trace_form_diagonal(algebra)
-    return omega is not None and omega.symmetry_defect() == 0 and all(
-        max(defects(omega, algebra.basis_element(s))) == 0 for s in generating_set(algebra))
+    if omega is None or omega.symmetry_defect() != 0:
+        return False
+    one = algebra.scalar(1)
+    rows = _defect_rows(algebra.integer_tables, algebra.weights, algebra.mode, omega.coeffs,
+                        [{s: one} for s in generating_set(algebra)])
+    return all(max(row) == 0 for row in rows)
 
 
 def _by_the_theorems(algebra, X, kind):
@@ -573,29 +602,46 @@ class DiagonalQuality:
         return self.max_defect == 0 and self.symmetry_defect == 0
 
 
-def _prepare_diagonal(X, t, tolerance=None):
-    """Lift t to the unitization if needed and measure its defects there.
+@dataclass
+class _Lift:
+    """A diagonal over A#, read on A's integer tables, where index dim A is the
+    adjoined unit: its coefficients with their denominators cleared by scale,
+    the defect quadruple at each basis element of A# (e last) and its
+    symmetry defect."""
+    scale: object
+    coeffs: dict
+    rows: list
+    symmetry_defect: object
 
-    The defect quadruple at each basis element of the unitization (the
-    adjoined unit last, at index dim A) is measured once and cached on the
-    tensor: the quality reads their max, the residual bounds read their
-    rows, and decomposition loops re-verify the same diagonal many times.
+
+def _prepare_diagonal(X, t, tolerance=None):
+    """The lift of t to the unitization, when t is over the algebra, measured
+    there in one _defect_rows pass over the basis of A#, and its quality.
+
+    No unitization is built: the lift's coefficients (diagonals._lifted), or
+    t's own when t is over A#, are read on the algebra's integer_tables with
+    weights A.weights + (1,).  The measurement is cached on the tensor: the
+    quality reads the rows' max, the residual bounds read the rows, and
+    decomposition loops re-verify the same diagonal many times.
     """
     algebra = X.algebra
-    if t.space is algebra:
-        if "unitized" not in t._cache:
-            t._cache["unitized"] = unitized_diagonal(t)
-        ts = t._cache["unitized"]
-    else:
+    if t.space is not algebra:
         X.adjoined_identity_index(t.space)  # raises when unrelated
-        ts = t
-    if "diag_defects" not in ts._cache:
-        ts._cache["diag_defects"] = [defects(ts, a) for a in ts.space.basis_elements()]
+    if "lift" not in t._cache:
+        coeffs = _lifted(t) if t.space is algebra else t.coeffs
+        one = algebra.scalar(1)
+        weights = algebra.weights + (one,)
+        scale, (tv,) = scalars.clear_denominators(algebra.mode, [coeffs])
+        rows = _defect_rows(algebra.integer_tables, weights, algebra.mode, coeffs,
+                            [{i: one} for i in range(algebra.dim + 1)])
+        t._cache["lift"] = _Lift(scale, tv, rows,
+                                 _symmetry_defect(algebra.mode, coeffs, weights))
+    lift = t._cache["lift"]
     quality = DiagonalQuality(
-        max_defect=max([algebra.scalar(0)] + [max(row) for row in ts._cache["diag_defects"]]),
-        symmetry_defect=ts.symmetry_defect(),
+        max_defect=max([algebra.scalar(0)] + [max(row) for row in lift.rows]),
+        symmetry_defect=lift.symmetry_defect,
         tolerance=tolerance if tolerance is not None else X.eps)
-    return ts, quality
+    return lift, quality
 
 
 def _diagonal_fault(quality):
@@ -610,11 +656,11 @@ def _diagonal_fault(quality):
 
 
 def _require_diagonal(X, t, tolerance):
-    ts, quality = _prepare_diagonal(X, t, tolerance)
+    lift, quality = _prepare_diagonal(X, t, tolerance)
     fault = _diagonal_fault(quality)
     if fault is not None:
         raise AlgebraError(fault)
-    return ts, quality
+    return lift, quality
 
 
 def _require_map(D, defect, kind, tolerance):
@@ -642,24 +688,23 @@ def _residual_bound(D, q, rows):
             + D.op_norm() * (d1 + d3))
 
 
-def _stage_one(D, ts, quality, residual):
-    """The construction both routes share: x the diagonal ts pushed through D,
-    ad_x, and the sandwich map S: a -> sandwich(D(a), ts).
+def _stage_one(D, lift, quality, residual):
+    """The construction both routes share: x the lifted diagonal pushed
+    through D, ad_x, and the sandwich map S: a -> sandwich(D(a), lift).
 
     Returns x, ad_x, S, the norm of residual(D(b), ad_x(b), S(b)) per basis
     label, the defect-driven bounds per label (empty for an exact diagonal),
     and whether every residual is within its bound or the tolerance.
     """
     X, alg = D.codomain, D.domain
-    x = image_action(D, ts)
+    x = _image(D, lift.scale, lift.coeffs)
     ad_x = inner_derivation(X, x)
-    S = LinearMap(alg, X, [dict(sandwich_action(D.image_of_basis(q), ts).coeffs)
-                           for q in range(alg.dim)])
+    S = LinearMap(alg, X, [_sandwich(X, img, lift.scale, lift.coeffs) for img in D.images])
     labels = list(enumerate(alg.labels))
     residuals = {label: residual(D.image_of_basis(q), ad_x.image_of_basis(q),
                                  S.image_of_basis(q)).norm() for q, label in labels}
     bounds = {} if quality.exact else {
-        label: _residual_bound(D, q, ts._cache["diag_defects"]) for q, label in labels}
+        label: _residual_bound(D, q, lift.rows) for q, label in labels}
     within = all(residuals[lab] <= bounds[lab] or residuals[lab] <= quality.tolerance
                  for lab in bounds)
     return x, ad_x, S, residuals, bounds, within
@@ -694,16 +739,16 @@ def jordan_decompose(D, t, tolerance=None):
     """
     X = D.codomain
     _require_map(D, jordan_defect, "a Jordan derivation", tolerance)
-    ts, quality = _require_diagonal(X, t, tolerance)
+    lift, quality = _require_diagonal(X, t, tolerance)
     # a Jordan derivation is D = ad_x - S
     x, _, delta, stage1, bounds, within = _stage_one(
-        D, ts, quality, lambda Db, ad, s: Db - (ad - s))
+        D, lift, quality, lambda Db, ad, s: Db - (ad - s))
     cdef = centrality_defect(delta)
     if quality.exact and cdef > quality.tolerance:
         raise AlgebraError(
             f"central stage fails centrality (defect {cdef}); "
             "the supplied tensor is not a symmetric diagonal")
-    x1 = image_action(delta, ts)
+    x1 = _image(delta, lift.scale, lift.coeffs)
     half = X.scalar(1) / X.scalar(2)
     omega = x - x1.scaled(half)
     inner = inner_derivation(X, omega)
@@ -737,8 +782,8 @@ def central_jordan_decompose(D, t, tolerance=None):
     X = D.codomain
     _require_map(D, jordan_defect, "a Jordan derivation", tolerance)
     _require_map(D, centrality_defect, "central-valued", tolerance)
-    ts, quality = _require_diagonal(X, t, tolerance)
-    x = image_action(D, ts)
+    lift, quality = _require_diagonal(X, t, tolerance)
+    x = _image(D, lift.scale, lift.coeffs)
     half = X.scalar(1) / X.scalar(2)
     ad_x = inner_derivation(X, x)
     residuals = {label: (D.image_of_basis(q) - ad_x.image_of_basis(q).scaled(half)).norm()
@@ -789,10 +834,10 @@ def lie_decompose(D, t, tolerance=None, submodule=None):
     """
     X = D.codomain
     _require_map(D, lie_defect, "a Lie derivation", tolerance)
-    ts, quality = _require_diagonal(X, t, tolerance)
+    lift, quality = _require_diagonal(X, t, tolerance)
     # a Lie derivation is D = ad_x + S
     x, d_map, tau, residuals, bounds, within = _stage_one(
-        D, ts, quality, lambda Db, ad, s: Db - ad - s)
+        D, lift, quality, lambda Db, ad, s: Db - ad - s)
     dd = derivation_defect(d_map)
     tc = centrality_defect(tau)
     tt = trace_defect(tau)

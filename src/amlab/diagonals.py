@@ -7,34 +7,111 @@ For a tensor t and a test element a the four defects are
     d3 = || a o t - t o a ||        (opposite-algebra action: d1 of flip(t))
     d4 = || a contract_swapped(t) - a ||  (contract_swapped(t) = contract(flip(t)))
 
-A finite family of tensors together with a finite test set and a tolerance
-stands in for an approximate-diagonal net: the claim "defects -> 0" becomes
-"the final entry's defects are all <= tolerance", with the earlier entries
-giving convergence evidence.  A symmetric tensor (fixed by the flip) with
-all four defects zero is an exact symmetric diagonal.
+All four are measured by one kernel (_defect_rows) that reads an algebra's
+integer_tables, so a tensor over the unitization A# is measured on A's own
+tables, where index dim A is the adjoined unit.  A finite family of tensors
+together with a finite test set and a tolerance stands in for an
+approximate-diagonal net: the claim "defects -> 0" becomes "the final
+entry's defects are all <= tolerance", with the earlier entries giving
+convergence evidence.  A symmetric tensor (fixed by the flip) with all four
+defects zero is an exact symmetric diagonal.
 """
 
 from dataclasses import dataclass, field
 
-from . import linalg
-from .algebra import AlgebraError, multiply, unitize
+from . import linalg, scalars
+from .algebra import _EMPTY, AlgebraError, unitize
 from .catalog import (direct_sum_algebra, group_algebra, matrix_algebra,
                       matrix_unit_index)
 from .maps import check_epimorphism
 from .scalars import RATIONAL
-from .tensor import (Tensor2, contract, elementary, flip, left_action,
-                     opposite_right_action, right_action)
+from .tensor import Tensor2, opposite_right_action, right_action
+
+
+def _scatter(out, row, factor, fixed, first):
+    """out[(k, fixed)] (first) or out[(fixed, k)] += factor * c over the entries c
+    at k of row, dropping exact zeros, as linalg.vec_add_scaled does."""
+    for k, c in row.items():
+        key = (k, fixed) if first else (fixed, k)
+        y = out.get(key, 0) + factor * c
+        if y == 0:
+            out.pop(key, None)
+        else:
+            out[key] = y
+
+
+def _defect_rows(ints, weights, mode, coeffs, elements):
+    """The defect quadruple (d1, d2, d3, d4) of the tensor {(i, j): c} at each
+    sparse element of elements, in one pass.
+
+    ints is an IntegerTables whose mul[(i, j)] is the row of b_i b_j, the
+    adjoined unit of A# included at index dim A, and weights holds one weight
+    per index that the tensor and the elements use.  The tensor, the
+    elements and the weights are cleared of their denominators once, every
+    sum runs in ints in rational mode, and each defect is divided out once.
+    d3 is summed in t's key order (b_l (x) a b_r - b_l a (x) b_r at the term
+    (l, r)).  In float mode every scale is 1 and each sum adds the same
+    products in the same order as the Tensor2 and Element arithmetic of the
+    definitions, so the values agree to the bit.
+    """
+    mul = ints.mul
+    t_scale, (tv,) = scalars.clear_denominators(mode, [coeffs])
+    a_scale, avs = scalars.clear_denominators(mode, list(elements))
+    w_scale, (w,) = scalars.clear_denominators(mode, [dict(enumerate(weights))])
+    c, cs = {}, {}  # contract(t) and contract(flip(t)), times t_scale * D
+    for (l, r), ct in tv.items():
+        linalg.vec_add_scaled(c, mul.get((l, r), _EMPTY), ct)
+        linalg.vec_add_scaled(cs, mul.get((r, l), _EMPTY), ct)
+    action_scale = a_scale * t_scale * ints.scale * w_scale * w_scale
+    unit_scale = t_scale * ints.scale * ints.scale  # brings a to the scale of contract(t) a
+    unit_norm_scale = unit_scale * a_scale * w_scale
+    out = []
+    for av in avs:
+        at, ta, a_t, t_a = {}, {}, {}, {}  # a t, t a, a o t and t o a (flipped back)
+        for (l, r), ct in tv.items():
+            for i, ca in av.items():
+                f = ca * ct
+                row = mul.get((i, l))
+                if row:
+                    _scatter(at, row, f, r, True)
+                row = mul.get((r, i))
+                if row:
+                    _scatter(ta, row, f, l, False)
+                row = mul.get((i, r))
+                if row:
+                    _scatter(a_t, row, f, l, False)
+                row = mul.get((l, i))
+                if row:
+                    _scatter(t_a, row, f, r, True)
+        c_a, a_cs = {}, {}  # contract(t) a and a contract(flip(t))
+        for i, ci in c.items():
+            for j, cj in av.items():
+                linalg.vec_add_scaled(c_a, mul.get((i, j), _EMPTY), ci * cj)
+        for i, ci in av.items():
+            for j, cj in cs.items():
+                linalg.vec_add_scaled(a_cs, mul.get((i, j), _EMPTY), ci * cj)
+        linalg.vec_add_scaled(at, ta, -1)
+        linalg.vec_add_scaled(c_a, av, -unit_scale)
+        linalg.vec_add_scaled(a_t, t_a, -1)
+        linalg.vec_add_scaled(a_cs, av, -unit_scale)
+        d1 = sum(abs(x) * w[i] * w[j] for (i, j), x in at.items())
+        d2 = sum(abs(x) * w[k] for k, x in c_a.items())
+        d3 = sum(abs(x) * w[i] * w[j] for (i, j), x in a_t.items())
+        d4 = sum(abs(x) * w[k] for k, x in a_cs.items())
+        out.append((scalars.unscale(mode, d1, action_scale),
+                    scalars.unscale(mode, d2, unit_norm_scale),
+                    scalars.unscale(mode, d3, action_scale),
+                    scalars.unscale(mode, d4, unit_norm_scale)))
+    return out
 
 
 def defects(t, a):
-    """The defect quadruple (d1, d2, d3, d4) of tensor t at test element a; d3 and d4
-    read s = flip(t), and d3 flips back so that its norm sums in t's term order."""
-    s = flip(t)
-    d1 = (left_action(a, t) - right_action(t, a)).proj_norm()
-    d2 = (multiply(contract(t), a) - a).norm()
-    d3 = flip(left_action(a, s) - right_action(s, a)).proj_norm()
-    d4 = (multiply(a, contract(s)) - a).norm()
-    return d1, d2, d3, d4
+    """The defect quadruple (d1, d2, d3, d4) of tensor t at test element a."""
+    if a.space is not t.space:
+        raise AlgebraError("element and tensor live over different presentations")
+    space = t.space
+    return _defect_rows(space.integer_tables, space.weights, space.mode,
+                        t.coeffs, [a.coeffs])[0]
 
 
 def max_defect(t, a):
@@ -42,22 +119,27 @@ def max_defect(t, a):
 
 
 class DiagonalNet:
-    """Finite ordered family of tensors with a test set and a tolerance."""
+    """Finite ordered family of tensors with a test set and a tolerance; an
+    empty family or an empty test set is refused, since it would pass any
+    claim."""
 
     def __init__(self, entries, test_set, tolerance=0, labels=None):
         entries = list(entries)
         test_set = list(test_set)
+        if not entries:
+            raise AlgebraError("empty net")
+        if not test_set:
+            raise AlgebraError("empty test set")
         for t in entries:
             if not isinstance(t, Tensor2):
                 raise AlgebraError("net entries must be tensors")
-        if entries:
-            space = entries[0].space
-            for t in entries:
-                if t.space is not space:
-                    raise AlgebraError("net entries live over different presentations")
-            for a in test_set:
-                if a.space is not space:
-                    raise AlgebraError("test elements live over a different presentation")
+        space = entries[0].space
+        for t in entries:
+            if t.space is not space:
+                raise AlgebraError("net entries live over different presentations")
+        for a in test_set:
+            if a.space is not space:
+                raise AlgebraError("test elements live over a different presentation")
         if labels is None:
             labels = [f"a{k}" for k in range(len(test_set))]
         if len(labels) != len(test_set):
@@ -65,14 +147,13 @@ class DiagonalNet:
         self.entries = entries
         self.test_set = test_set
         self.labels = [str(x) for x in labels]
-        space = entries[0].space if entries else None
-        self.tolerance = space.scalar(tolerance) if space else tolerance
+        self.tolerance = space.scalar(tolerance)
         if self.tolerance < 0:
             raise AlgebraError("tolerance must be nonnegative")
 
     @property
     def space(self):
-        return self.entries[0].space if self.entries else None
+        return self.entries[0].space
 
 
 @dataclass
@@ -122,18 +203,18 @@ def defect_report(net, require_symmetric=False):
     An entry's verdict is true when every defect on the test set is within
     the net tolerance and, if required, the entry is symmetric (its flip
     distance is within the same tolerance).  Symmetry is reported for every
-    entry regardless.
+    entry regardless.  Each entry is measured over the whole test set in one
+    pass of _defect_rows.
     """
-    if not net.entries:
-        raise AlgebraError("empty net")
-    tol = net.tolerance
+    tol, space = net.tolerance, net.space
+    tests = [a.coeffs for a in net.test_set]
     out = []
     for idx, t in enumerate(net.entries):
         sdef = t.symmetry_defect()
         entry = EntryReport(index=idx, symmetric=sdef <= tol,
                             symmetry_defect=sdef, proj_norm=t.proj_norm())
-        for a, lab in zip(net.test_set, net.labels):
-            d1, d2, d3, d4 = defects(t, a)
+        quads = _defect_rows(space.integer_tables, space.weights, space.mode, t.coeffs, tests)
+        for lab, (d1, d2, d3, d4) in zip(net.labels, quads):
             entry.rows.append(DefectRow(idx, lab, d1, d2, d3, d4))
         ok = all(r.max() <= tol for r in entry.rows)
         if require_symmetric:
@@ -333,19 +414,29 @@ def ideal_diagonal(t, e):
     return right_action(opposite_right_action(t, e), e)
 
 
-def unitized_diagonal(t):
-    """Lift an exact diagonal of a unital algebra to its unitization.
-
-    If u is the unit of the carrier of t and e the adjoined unit, the lift
-    is t + (e - u) (x) (e - u); its contraction is e and it inherits
-    symmetry and exactness over the unitization.
-    """
+def _lifted(t):
+    """The coefficients of t + (e - u) (x) (e - u) over the indices 0..dim A,
+    where u is the unit of t's carrier A and e, at index dim A, the unit
+    adjoined in A#; in the key order of Tensor2(A#, t) + elementary(e - u, e - u)."""
     algebra = t.space
     if algebra.unit is None:
         raise AlgebraError("lifting a diagonal needs a unital carrier")
-    sharp = unitize(algebra)
-    e_idx = sharp.meta["adjoined_index"]
-    lifted = {key: c for key, c in t.coeffs.items()}
-    corr = sharp.element({e_idx: 1}) - sharp.element(dict(algebra.unit))
-    out = Tensor2(sharp, lifted) + elementary(corr, corr)
+    corr = {algebra.dim: algebra.scalar(1)}
+    corr.update((i, -c) for i, c in algebra.unit.items())
+    out = dict(t.coeffs)
+    for i, ci in corr.items():
+        _scatter(out, corr, ci, i, False)
     return out
+
+
+def unitized_diagonal(t):
+    """Lift a tensor over a unital algebra to its unitization.
+
+    If u is the unit of the carrier of t and e the adjoined unit, the lift
+    is t + (e - u) (x) (e - u), whose contraction is contract(t) - u + e; an
+    exact (symmetric) diagonal lifts to an exact (symmetric) diagonal of
+    the unitization.  The decompositions read the same coefficients
+    (_lifted) on the carrier's integer tables and build no unitization.
+    """
+    coeffs = _lifted(t)
+    return Tensor2(unitize(t.space), coeffs)

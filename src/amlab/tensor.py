@@ -63,7 +63,7 @@ class Tensor2:
 
     def symmetry_defect(self):
         """Projective norm of t - flip(t); zero exactly when t is symmetric."""
-        return (self - flip(self)).proj_norm()
+        return _symmetry_defect(self.space.mode, self.coeffs, self.space.weights)
 
     def is_symmetric(self):
         return self.symmetry_defect() <= self.space.eps
@@ -117,6 +117,24 @@ def elementary(a, b):
     same_space(a, b, "tensor factors")
     return Tensor2(a.space, {(i, j): ci * cj for i, ci in a.coeffs.items()
                              for j, cj in b.coeffs.items()})
+
+
+def _symmetry_defect(mode, coeffs, weights):
+    """Projective norm of t - flip(t) for the table {(i, j): c} of t under one
+    weight per index, in ints with t's and the weights' denominators cleared
+    once; in float mode the same sums in the same order as
+    (t - flip(t)).proj_norm()."""
+    t_scale, (tv,) = scalars.clear_denominators(mode, [coeffs])
+    w_scale, (w,) = scalars.clear_denominators(mode, [dict(enumerate(weights))])
+    diff = dict(tv)
+    for (i, j), c in tv.items():
+        y = diff.get((j, i), 0) - c
+        if y == 0:
+            diff.pop((j, i), None)
+        else:
+            diff[(j, i)] = y
+    n = sum(abs(c) * w[i] * w[j] for (i, j), c in diff.items())
+    return scalars.unscale(mode, n, t_scale * w_scale * w_scale)
 
 
 def zero_tensor(space):

@@ -73,3 +73,16 @@ def sympy_rank(rows, ncols):
 
 def sympy_nullity(rows, ncols):
     return ncols - sympy_rank(rows, ncols)
+
+
+def tensor_arithmetic_defects(t, a):
+    """The four defects of t at a by the Tensor2 and Element arithmetic of their
+    definitions, with no kernel: d3 is flipped back so its norm sums in t's key
+    order, the order the library's kernel keeps."""
+    from amlab import contract, flip, left_action, multiply, right_action
+    s = flip(t)
+    d1 = (left_action(a, t) - right_action(t, a)).proj_norm()
+    d2 = (multiply(contract(t), a) - a).norm()
+    d3 = flip(left_action(a, s) - right_action(s, a)).proj_norm()
+    d4 = (multiply(a, contract(s)) - a).norm()
+    return d1, d2, d3, d4

@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -173,3 +174,25 @@ def test_the_approximate_diagonal_route_runs_on_the_bare_interpreter(tmp_path):
     j, lie = load(d, "dj-tol.json"), load(d, "dl-tol.json")
     assert not j["exact"] and j["stage_one_bounds"]
     assert not lie["exact"] and lie["residual_bounds"]
+
+
+def test_a_lie_decomposition_on_a_right_only_module_runs_on_the_bare_interpreter(tmp_path):
+    """M2 acting on itself by right multiplication only, and there the inner
+    derivation of x = E12, b -> -E12 b: the diagonal pushes it to 0, only the
+    (e - u) (x) (e - u) terms of its lift carry x, and the inner part of the
+    decomposition is the map itself."""
+    d = tmp_path
+    cli(d, "build-diagonal", "matrix", "2", "--algebra-out", "m2.json", "--out", "t2.json")
+    a = load(d, "m2.json")
+    dump(d, "r2.json", {"basis": a["basis"], "left": [], "right": a["mul"]})
+    x = a["basis"].index("E12")
+    matrix = [["0"] * 4 for _ in range(4)]
+    for i, j, k, c in a["mul"]:
+        if i == x:  # x b_j = c b_k, so D(b_j) = -c b_k
+            matrix[j][k] = str(-Fraction(c))
+    dump(d, "ad.json", {"matrix": matrix})
+    cli(d, "decompose-lie", "m2.json", "r2.json", "ad.json", "t2.json", "--out", "dl.json")
+    report = load(d, "dl.json")
+    assert report["ok"] is True
+    assert [[Fraction(c) for c in row] for row in report["inner_matrix"]] == \
+        [[Fraction(c) for c in row] for row in matrix] != [[0] * 4] * 4

@@ -52,6 +52,17 @@ def test_check_diagonal_fails_on_broken_tensor(m2_file, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("entries, message", [([], "empty net"),
+                                              ([[[0, 0, "5"]]], "empty test set")])
+def test_check_diagonal_refuses_an_empty_net_or_test_set(m2_file, tmp_path, capsys,
+                                                        entries, message):
+    """Either would pass any claim: with no test element, 5 E11 (x) E11, which
+    is no diagonal of M2, would have every defect within tolerance."""
+    net = write(tmp_path / "net.json", {"tolerance": "0", "entries": entries, "test_set": []})
+    assert main(["check-diagonal", m2_file, net]) == 3
+    assert f"validation error: {message}" in capsys.readouterr().err
+
+
 def test_check_diagonal_csv(m2_file, good_net_file, capsys):
     code = main(["check-diagonal", m2_file, good_net_file, "--format", "csv"])
     assert code == 0
@@ -509,6 +520,22 @@ def test_decompose_jordan_central_route(tmp_path, m2_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
     assert payload["symmetric_bimodule"] is False
+
+
+@pytest.mark.parametrize("command", ["decompose-jordan", "decompose-lie"])
+@pytest.mark.parametrize("images, message", [
+    ([["1", "0"], ["0", "0"]], "map is not a"),
+    ([["0", "0"], ["0", "0"]], "lifting a diagonal needs a unital carrier")])
+def test_the_map_gate_runs_before_the_diagonal_is_lifted(tmp_path, capsys, command,
+                                                         images, message):
+    """E11 and E12 of M2: a a = a, a n = n, and no unit.  D(a) = a fails both
+    gates; the zero map passes them and the lift of the diagonal is refused."""
+    algebra = write(tmp_path / "A.json", {"basis": ["a", "n"],
+                                          "mul": [[0, 0, 0, "1"], [0, 1, 1, "1"]]})
+    map_file = write(tmp_path / "D.json", {"matrix": images})
+    t_file = write(tmp_path / "t.json", {"terms": [[0, 0, "1"]]})
+    assert main([command, algebra, "regular", map_file, t_file]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_classify_cli(m2_file, capsys):

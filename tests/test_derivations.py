@@ -22,6 +22,9 @@ from amlab import (AlgebraError, AlgebraPresentation, BimodulePresentation,
 
 from amlab.maps import flatten_map
 from amlab import derivations, linalg, scalars, serialize
+from amlab.catalog import direct_sum_algebra
+from amlab.diagonals import direct_sum_diagonal
+from oracles import tensor_arithmetic_defects
 
 
 def rand_element(rng, space, lo=-3, hi=3):
@@ -1141,7 +1144,7 @@ def test_decomposition_residuals_match_the_element_reference(mode):
 
 def ref_residual_bound(D, ts, b):
     X = D.codomain
-    d1, _, d3, _ = defects(ts, ts.space.element(dict(b.coeffs)))
+    d1, _, d3, _ = tensor_arithmetic_defects(ts, ts.space.element(dict(b.coeffs)))
     e = ts.space.unit_element()
     d2_at_e = (multiply(contract(ts), e) - e).norm()
     action = max(X.action_bound, X.scalar(1))
@@ -1149,11 +1152,12 @@ def ref_residual_bound(D, ts, b):
 
 
 def ref_stage_one(D, t, tolerance):
-    """The lifted diagonal, its quality, x, ad_x and the sandwich map."""
+    """The lifted diagonal over unitize(A), its quality, x, ad_x and the sandwich map."""
     X, alg = D.codomain, D.domain
     ts = unitized_diagonal(t)
-    worst = max([alg.scalar(0)] + [max(defects(ts, a)) for a in ts.space.basis_elements()])
-    quality = derivations.DiagonalQuality(worst, ts.symmetry_defect(), tolerance)
+    worst = max([alg.scalar(0)] + [max(tensor_arithmetic_defects(ts, a))
+                                   for a in ts.space.basis_elements()])
+    quality = derivations.DiagonalQuality(worst, (ts - flip(ts)).proj_norm(), tolerance)
     x = image_action(D, ts)
     S = LinearMap(alg, X, [dict(sandwich_action(D.image_of_basis(q), ts).coeffs)
                            for q in range(alg.dim)])
@@ -1171,12 +1175,14 @@ def ref_jordan_decompose(D, t, tolerance):
         Db, label = D.image_of_basis(q), alg.labels[q]
         residuals[label] = (Db - inner.image_of_basis(q)).norm()
         stage1[label] = (Db - (ad_x.image_of_basis(q) - delta.image_of_basis(q))).norm()
-        bounds[label] = ref_residual_bound(D, ts, b)
-    ok = all(stage1[lab] <= bounds[lab] or stage1[lab] <= tolerance for lab in stage1)
+        if not quality.exact:
+            bounds[label] = ref_residual_bound(D, ts, b)
+    ok = (all(r <= tolerance for r in residuals.values()) if quality.exact else
+          all(stage1[lab] <= bounds[lab] or stage1[lab] <= tolerance for lab in stage1))
     return derivations.JordanDecomposition(
         omega=omega, x=x, central_stage=delta, x1=x1, residuals=residuals,
         stage_one_residuals=stage1, stage_one_bounds=bounds,
-        central_defect=centrality_defect(delta), quality=quality, exact=False, ok=ok)
+        central_defect=centrality_defect(delta), quality=quality, exact=quality.exact, ok=ok)
 
 
 def ref_lie_decompose(D, t, tolerance):
@@ -1186,13 +1192,15 @@ def ref_lie_decompose(D, t, tolerance):
     for q, b in enumerate(alg.basis_elements()):
         r = D.image_of_basis(q) - d_map.image_of_basis(q) - tau.image_of_basis(q)
         residuals[alg.labels[q]] = r.norm()
-        bounds[alg.labels[q]] = ref_residual_bound(D, ts, b)
-    ok = all(residuals[lab] <= bounds[lab] or residuals[lab] <= tolerance for lab in residuals)
+        if not quality.exact:
+            bounds[alg.labels[q]] = ref_residual_bound(D, ts, b)
+    gates = [derivation_defect(d_map), centrality_defect(tau), trace_defect(tau)]
+    ok = (all(v <= tolerance for v in gates + list(residuals.values())) if quality.exact else
+          all(residuals[lab] <= bounds[lab] or residuals[lab] <= tolerance for lab in residuals))
     return derivations.LieDecomposition(
         inner=d_map, central_trace=tau, x=x, residuals=residuals, residual_bounds=bounds,
-        inner_derivation_defect=derivation_defect(d_map),
-        trace_centrality_defect=centrality_defect(tau),
-        trace_commutator_defect=trace_defect(tau), quality=quality, exact=False, ok=ok)
+        inner_derivation_defect=gates[0], trace_centrality_defect=gates[1],
+        trace_commutator_defect=gates[2], quality=quality, exact=quality.exact, ok=ok)
 
 
 def ref_central_jordan_decompose(D, t, tolerance):
@@ -1256,17 +1264,122 @@ def test_approximate_decompositions_match_the_per_label_reference(mode):
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
 def test_an_approximate_diagonal_is_measured_once(mode, monkeypatch):
-    """One defect quadruple per basis element of A#: the quality and every
-    residual bound read them, however many decompositions use the tensor."""
-    calls = []
-    monkeypatch.setattr(derivations, "defects",
-                        lambda t, a: calls.append(a) or defects(t, a))
+    """One pass of the defect kernel per tensor, with a row per basis element
+    of A#: the quality and every residual bound read them, however many
+    decompositions use the tensor."""
+    passes = []
+    kernel = derivations._defect_rows
+
+    def counted(ints, weights, mode, coeffs, elements):
+        passes.append(len(elements))
+        return kernel(ints, weights, mode, coeffs, elements)
+
+    monkeypatch.setattr(derivations, "_defect_rows", counted)
     for D, _, t, tol in approximate_decomposition_cases(mode):
-        del calls[:]
+        del passes[:]
         assert jordan_decompose(D, t, tolerance=tol).stage_one_bounds
-        assert len(calls) == D.domain.dim + 1
+        assert passes == [D.domain.dim + 1]
         assert lie_decompose(D, t, tolerance=tol).residual_bounds
-        assert len(calls) == D.domain.dim + 1
+        assert passes == [D.domain.dim + 1]
+
+
+def lift_cases(mode):
+    """(bimodule, tensor over A) pairs: the exact diagonals of M3, l1(S3) and
+    M3 + l1(S3), and the perturbed diagonals of approximate_decomposition_cases."""
+    m3 = matrix_algebra(3, mode=mode)
+    s3 = group_algebra(*symmetric_group_table(3), mode=mode)
+    exact = [matrix_diagonal(3, algebra=m3),
+             group_diagonal(*symmetric_group_table(3), algebra=s3)]
+    exact.append(direct_sum_diagonal(exact, direct_sum_algebra([m3, s3])))
+    cases = [(regular_bimodule(t.space), t) for t in exact]
+    return cases + [(D.codomain, t) for D, _, t, _ in approximate_decomposition_cases(mode)]
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_the_lift_is_measured_on_the_algebras_own_tables(mode):
+    """The lifted coefficients, defect rows and symmetry defect that
+    _prepare_diagonal reads on A's integer tables are those of
+    unitized_diagonal(t) over unitize(A), measured by tensor arithmetic and by
+    defects: equal in rational mode and bit for bit in float mode.  A tensor
+    given over A# is read as it is."""
+    for X, t in lift_cases(mode):
+        ts = unitized_diagonal(t)
+        basis = ts.space.basis_elements()
+        want = [tensor_arithmetic_defects(ts, a) for a in basis]
+        assert canonical(want) == canonical([defects(ts, a) for a in basis])
+        lift, quality = derivations._prepare_diagonal(X, t)
+        assert canonical(lift.rows) == canonical(want)
+        assert canonical(quality.symmetry_defect) == canonical((ts - flip(ts)).proj_norm())
+        assert canonical({key: scalars.unscale(mode, c, lift.scale)
+                          for key, c in lift.coeffs.items()}) == canonical(ts.coeffs)
+        given, _ = derivations._prepare_diagonal(X, Tensor2(ts.space, ts.coeffs))
+        assert canonical(given.rows) == canonical(want)
+
+
+def right_only_module(A):
+    """A acting on itself by right multiplication, with the zero left action."""
+    return BimodulePresentation(A, A.labels, {}, A.mul, name="right-only")
+
+
+def right_only_cases(mode):
+    """(inner derivation, its x, diagonal, tolerance) on the right-only modules of M2
+    and l1(S3): the exact diagonals with tolerance None, and the same nudged by a
+    symmetric 1/1000 with tolerance 1/10."""
+    rng = random.Random(29)
+    m2 = matrix_algebra(2, mode=mode)
+    s3 = group_algebra(*symmetric_group_table(3), mode=mode)
+    for t in (matrix_diagonal(2, algebra=m2),
+              group_diagonal(*symmetric_group_table(3), algebra=s3)):
+        A = t.space
+        X = right_only_module(A)
+        x = X.element({k: Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for k in range(X.dim)})
+        noise = elementary(A.element({1: Fraction(1, 1000)}), A.element({0: 1}))
+        yield inner_derivation(X, x), x, t, None
+        yield inner_derivation(X, x), x, t + noise + flip(noise), A.scalar(Fraction(1, 10))
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_on_a_right_only_module_the_lift_carries_x(mode):
+    """With no left action, t pushes ad_x to 0, and only the (e - u) (x) (e - u)
+    terms of the lift recover x (exactly, in rational mode); the decompositions
+    read the lift and equal the route through unitized_diagonal and unitize."""
+    for D, x, t, tol in right_only_cases(mode):
+        X = D.codomain
+        assert image_action(D, t).is_zero()
+        if tol is None and mode == "rational":
+            assert image_action(D, unitized_diagonal(t)) == x
+            rep = lie_decompose(D, t)
+            assert rep.ok and rep.exact and rep.x == x and rep.inner == D
+            assert rep.central_trace.is_zero()
+        eps = tol if tol is not None else X.eps
+        for decompose, ref in [(jordan_decompose, ref_jordan_decompose),
+                               (lie_decompose, ref_lie_decompose)]:
+            assert canonical(decompose(D, t, tolerance=tol)) == canonical(ref(D, t, eps))
+        zero = LinearMap.zero(D.domain, X)
+        assert canonical(central_jordan_decompose(zero, t, tolerance=tol)) == \
+            canonical(ref_central_jordan_decompose(zero, t, eps))
+
+
+def test_the_decompositions_build_no_unitization(monkeypatch):
+    """On a tensor over A, the decompositions and the central derivation space
+    construct no presentation and call no unitize: the lift lives on A's tables."""
+    A = matrix_algebra(3)
+    X = regular_bimodule(A)
+    D = inner_derivation(X, X.element({1: 1, 5: -2}))
+    zero = LinearMap.zero(A, X)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a decomposition built a presentation")
+
+    monkeypatch.setattr(AlgebraPresentation, "__init__", refuse)
+    monkeypatch.setattr("amlab.algebra.unitize", refuse)
+    monkeypatch.setattr("amlab.diagonals.unitize", refuse)
+    assert jordan_decompose(D, matrix_diagonal(3, algebra=A)).ok
+    assert lie_decompose(D, matrix_diagonal(3, algebra=A)).ok
+    assert central_jordan_decompose(zero, matrix_diagonal(3, algebra=A)).ok
+    assert central_derivation_space(A, X, matrix_diagonal(3, algebra=A)).vanishing_checked
+    with pytest.raises(AssertionError, match="built a presentation"):
+        unitized_diagonal(matrix_diagonal(3, algebra=A))
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from amlab import (AlgebraError, DiagonalNet, LinearMap, Tensor2,
+from amlab import (AlgebraError, AlgebraPresentation, DiagonalNet, LinearMap, Tensor2,
                    abelian_product_table, basis_test_set, block_projection,
                    contract, cyclic_group_table, defect_report, defects,
                    direct_sum_algebra, direct_sum_diagonal, elementary, flip,
@@ -17,7 +17,7 @@ from amlab import (AlgebraError, DiagonalNet, LinearMap, Tensor2,
                    tail_mass, trace_form_diagonal, truncated_matrix_diagonal,
                    unitized_diagonal, upper_triangular_algebra)
 
-from oracles import element_from_dense
+from oracles import element_from_dense, tensor_arithmetic_defects
 
 
 def rand_element(rng, algebra, lo=-3, hi=3):
@@ -58,6 +58,44 @@ def test_flipped_sign_tensor_fails(m2):
 def test_empty_net_rejected(m2):
     with pytest.raises(AlgebraError):
         defect_report(DiagonalNet([], [], 0))
+
+
+def test_an_empty_test_set_is_refused(m2):
+    """It would pass any tensor, 5 E11 (x) E11 included."""
+    t = elementary(m2.basis_element(0), m2.basis_element(0)).scaled(5)
+    with pytest.raises(AlgebraError, match="empty test set"):
+        DiagonalNet([t], [], 0)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_defect_report_is_the_per_element_loop(mode):
+    """One kernel pass per entry over the whole test set gives, element by
+    element, the quadruples and symmetry defect of the tensor arithmetic of the
+    definitions, with fractional coefficients and non-unit weights: equal in
+    rational mode, bit for bit in float mode."""
+    rng = random.Random(53)
+    m3 = matrix_algebra(3, mode=mode)
+    s3 = group_algebra(*symmetric_group_table(3), mode=mode)
+    weighted = AlgebraPresentation(s3.labels, s3.mul,
+                                   [Fraction(3, 2), Fraction(9, 4), Fraction(1, 3)] * 2,
+                                   s3.unit, mode)
+    exact_s3 = group_diagonal(*symmetric_group_table(3), algebra=s3)
+
+    def fraction():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    for A, exact in [(m3, matrix_diagonal(3, algebra=m3)), (s3, exact_s3),
+                     (weighted, Tensor2(weighted, exact_s3.coeffs))]:
+        entries = [Tensor2(A, {(rng.randrange(A.dim), rng.randrange(A.dim)): fraction()
+                               for _ in range(10)}) for _ in range(2)] + [exact]
+        tests = [A.element({i: fraction() for i in rng.sample(range(A.dim), 3)})
+                 for _ in range(5)] + A.basis_elements()
+        report = defect_report(DiagonalNet(entries, tests, 0))
+        for entry, t in zip(report.entries, entries):
+            want = [tensor_arithmetic_defects(t, a) for a in tests]
+            assert repr([(r.d1, r.d2, r.d3, r.d4) for r in entry.rows]) == repr(want)
+            assert repr([defects(t, a) for a in tests]) == repr(want)
+            assert repr(entry.symmetry_defect) == repr((t - flip(t)).proj_norm())
 
 
 def test_commutative_defect_collapse_single():
